@@ -113,11 +113,12 @@ def _emit_sweep(report: dict, fmt: str, out) -> None:
 
 
 def _cmd_analyze(args, out) -> int:
+    # raw bytes, so that a non-ASCII byte fails only its own line
     if args.path == "-":
-        lines = sys.stdin.readlines()
+        lines = getattr(sys.stdin, "buffer", sys.stdin).readlines()
     else:
         try:
-            with open(args.path, "r", encoding="ascii") as fh:
+            with open(args.path, "rb") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             print(f"cannot read {args.path}: {exc}", file=sys.stderr)

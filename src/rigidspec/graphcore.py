@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import AnyStr, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -291,7 +291,9 @@ def write_graph6(g: Graph) -> str:
     return (head + bytes(body)).decode("ascii")
 
 
-def iter_graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+def iter_graph6_lines(
+    lines: Iterable[AnyStr],
+) -> Iterator[tuple[int, AnyStr]]:
     """Yield (1-based line number, stripped payload) skipping blank lines."""
     for i, raw in enumerate(lines, start=1):
         s = raw.strip()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphcore import Graph, complete_split_graph, is_k_connected, write_graph6
 
@@ -19,6 +19,33 @@ Edge = tuple[int, int]
 # edge.  Accepted edges form a maximum independent set in the count matroid
 # whose independent sets are the (2,3)-sparse edge sets, so the accepted
 # count is the generic planar rigidity rank.
+#
+# A rejected edge uv also names its fundamental circuit.  The gather fails
+# with exactly 3 pebbles on {u, v} and none elsewhere in R, the closure of
+# {u, v} under out-edges.  R spans 2|R| - 3 accepted edges, so it is tight,
+# and every tight set containing u and v holds no further pebble and has no
+# out-edge leaving it, so it contains R: R is the minimal tight set through
+# u and v.  The accepted edges inside R plus uv are therefore the unique
+# circuit in basis + uv.  A basis edge lies in some circuit exactly when
+# some fundamental circuit covers it (basis exchange), so the basis edges
+# that no rejected edge's R covers are the coloops, the edges whose
+# deletion drops the rank.  When coloops are wanted the game keeps
+# rejecting edges after the rank reaches 2n-3, because their circuits count
+# too, and stops early only once every basis edge is covered; rank-only
+# callers stop at 2n-3.
+
+
+@dataclass(frozen=True)
+class PebbleGame:
+    """Outcome of one pebble-game pass: the accepted basis, in insertion
+    order, and the basis edges lying in no circuit of the edge set (None
+    when the pass was not asked for them)."""
+    basis: list[Edge]
+    coloops: Optional[list[Edge]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
 
 
 def _find_pebble(root: int, blocked: tuple[int, int], peb: list[int],
@@ -51,14 +78,31 @@ def _find_pebble(root: int, blocked: tuple[int, int], peb: list[int],
     return False
 
 
-def _run_pebble_game(n: int, edge_seq: Sequence[Edge]) -> list[Edge]:
-    """Accepted edges for the given insertion order."""
+def _cover_circuit(u: int, v: int, out: list[set[int]],
+                   uncovered: set[Edge]) -> None:
+    """Drop from `uncovered` the accepted edges inside the out-edge closure
+    of {u, v}, i.e. the basis part of a rejected uv's fundamental circuit."""
+    seen = {u, v}
+    stack = [u, v]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            uncovered.discard((x, y) if x < y else (y, x))
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+
+
+def _run_pebble_game(n: int, edge_seq: Sequence[Edge],
+                     coloops: bool = True) -> PebbleGame:
+    """Basis for the given insertion order, and its coloops if asked."""
     peb = [2] * n
     out: list[set[int]] = [set() for _ in range(n)]
     accepted: list[Edge] = []
+    uncovered: set[Edge] = set()
     cap = max(0, 2 * n - 3)
     for u, v in edge_seq:
-        if len(accepted) == cap:
+        if len(accepted) == cap and not uncovered:
             break
         while peb[u] + peb[v] < 4:
             if not (_find_pebble(u, (u, v), peb, out)
@@ -68,17 +112,24 @@ def _run_pebble_game(n: int, edge_seq: Sequence[Edge]) -> list[Edge]:
             peb[u] -= 1
             out[u].add(v)
             accepted.append((u, v))
-    return accepted
+            if coloops:
+                uncovered.add((u, v) if u < v else (v, u))
+        elif coloops:
+            _cover_circuit(u, v, out, uncovered)
+    if not coloops:
+        return PebbleGame(accepted, None)
+    return PebbleGame(
+        accepted, [e for e in accepted if (min(e), max(e)) in uncovered])
 
 
 def pebble_rank(g: Graph) -> int:
     """Rank of the edge set in the generic planar rigidity matroid."""
-    return len(_run_pebble_game(g.n, g.edge_list()))
+    return _run_pebble_game(g.n, g.edge_list(), coloops=False).rank
 
 
 def independent_edge_basis(g: Graph) -> list[Edge]:
     """A maximum (2,3)-sparse subset of the edges, in insertion order."""
-    return _run_pebble_game(g.n, g.edge_list())
+    return _run_pebble_game(g.n, g.edge_list(), coloops=False).basis
 
 
 # -- verdict predicates ---------------------------------------------------
@@ -98,38 +149,35 @@ def laman_check(g: Graph) -> bool:
     return g.m == 2 * g.n - 3 and pebble_rank(g) == g.m
 
 
+def _redundant(n: int, game: PebbleGame) -> bool:
+    return game.rank == 2 * n - 3 and not game.coloops
+
+
 def is_redundantly_rigid(g: Graph) -> bool:
     """Rigid, and still rigid after deleting any single edge.
 
-    Only basis edges need rechecking: a non-basis edge is spanned by the
-    basis, so deleting it cannot drop the rank.
+    Deleting an edge drops the rank exactly when it is a coloop, a basis
+    edge covered by no rejected edge's fundamental circuit, so one pebble
+    game decides it: rank 2n-3 and no coloops.
     """
     if g.n < 2:
         raise ValueError("redundancy predicate needs at least 2 vertices")
-    target = 2 * g.n - 3
-    basis = independent_edge_basis(g)
-    if len(basis) < target:
-        return False
-    if g.m == target:
-        return False
-    for e in basis:
-        rest = [f for f in g.edge_list() if f != e]
-        if len(_run_pebble_game(g.n, rest)) < target:
-            return False
-    return True
+    return _redundant(g.n, _run_pebble_game(g.n, g.edge_list()))
 
 
 def is_globally_rigid(g: Graph) -> bool:
     """Unique generic realisation up to congruence.
 
     Complete graphs on at most 3 vertices qualify outright; otherwise the
-    combinatorial characterisation is 3-connectivity plus redundant rigidity.
+    combinatorial characterisation is 3-connectivity plus redundant rigidity
+    (Jackson & Jordan 2005).  Redundancy costs one pebble game, so it is
+    tested first and connectivity only when it holds.
     """
     if g.n < 2:
         raise ValueError("global rigidity needs at least 2 vertices")
     if g.n <= 3:
         return g.is_complete()
-    return is_k_connected(g, 3) and is_redundantly_rigid(g)
+    return is_redundantly_rigid(g) and is_k_connected(g, 3)
 
 
 @dataclass(frozen=True)
@@ -150,22 +198,32 @@ class RigidityVerdict:
         }
 
 
-def rigidity_verdict(g: Graph) -> RigidityVerdict:
-    """All rigidity predicates in one pass.  Single vertices count as rigid."""
+def rigidity_verdict(g: Graph,
+                     kappa: Optional[int] = None) -> RigidityVerdict:
+    """All rigidity predicates from one pebble game.  Single vertices count
+    as rigid.
+
+    `kappa`, the vertex connectivity when the caller already has it, saves
+    recomputing it; it is only consulted for redundantly rigid graphs on at
+    least 4 vertices.
+    """
     if g.n < 1:
         raise ValueError("verdict needs at least 1 vertex")
-    rank = pebble_rank(g)
-    target = max(0, 2 * g.n - 3)
-    rigid = rank == target
-    minimal = g.m == 2 * g.n - 3 and rank == g.m
-    if g.n == 1:
-        redundant = True
+    n = g.n
+    game = _run_pebble_game(n, g.edge_list())
+    rank = game.rank
+    rigid = rank == max(0, 2 * n - 3)
+    minimal = g.m == 2 * n - 3 and rank == g.m
+    if n == 1:
+        redundant = glob = True
     else:
-        redundant = is_redundantly_rigid(g)
-    if g.n == 1:
-        glob = True
-    else:
-        glob = is_globally_rigid(g)
+        redundant = _redundant(n, game)
+        if n <= 3:
+            glob = g.is_complete()
+        elif kappa is None:
+            glob = redundant and is_k_connected(g, 3)
+        else:
+            glob = redundant and kappa >= 3
     return RigidityVerdict(rank, rigid, minimal, redundant, glob)
 
 

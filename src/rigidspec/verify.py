@@ -15,6 +15,7 @@ from .graphcore import (
     Graph,
     Graph6Error,
     complete_split_graph,
+    iter_graph6_lines,
     linked_cliques,
     parse_graph6,
     vertex_connectivity,
@@ -105,7 +106,7 @@ def analyze_graph(g: Graph, graph6: Optional[str] = None,
     rho = spectral_radius(g)
     mu = algebraic_connectivity(g) if n >= 2 else None
     hb = hong_bound(n, m, delta) if delta >= 1 else None
-    verdict = rigidity_verdict(g)
+    verdict = rigidity_verdict(g, kappa=kappa)
     thr_r = _threshold(n, delta, 2)
     thr_g = _threshold(n, delta, 3)
 
@@ -244,9 +245,11 @@ def reports_to_csv(reports: Sequence[dict]) -> str:
 # -- corpus analysis ------------------------------------------------------
 
 
-def _analyze_payload(payload: tuple[int, str, float]):
+def _analyze_payload(payload: tuple[int, str | bytes, float]):
     lineno, text, tol = payload
     try:
+        if isinstance(text, bytes):
+            text = _decode_line(text)
         g = parse_graph6(text)
         if g.n < 1:
             raise Graph6Error("empty graph not supported in reports")
@@ -255,26 +258,36 @@ def _analyze_payload(payload: tuple[int, str, float]):
         return lineno, None, f"line {lineno}: {exc}"
 
 
+def _decode_line(raw: bytes) -> str:
+    try:
+        # str.strip also drops \x1c-\x1f, as reading the corpus as text did
+        return raw.decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        raise Graph6Error(
+            f"non-ascii byte 0x{raw[exc.start]:02x} at position {exc.start}"
+        ) from None
+
+
 def analyze_lines(
-    lines: Iterable[str], tol: float = REPORT_TOL, jobs: int = 1
+    lines: Iterable[str | bytes], tol: float = REPORT_TOL, jobs: int = 1
 ) -> tuple[list[dict], list[str]]:
     """Analyze a graph6 corpus, one graph per nonblank line.
 
-    Returns (reports in input order, error messages carrying line numbers).
+    Lines may be text or raw bytes; byte lines are decoded one at a time,
+    so a non-ASCII byte fails only its own line.  Returns (reports in input
+    order, error messages carrying line numbers).
     """
-    payloads = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if text:
-            payloads.append((lineno, text, tol))
+    payloads = [(lineno, text, tol)
+                for lineno, text in iter_graph6_lines(lines)]
+    if jobs <= 1 or len(payloads) < 2:
+        results = list(map(_analyze_payload, payloads))
+    else:
+        chunk = max(1, len(payloads) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_analyze_payload, payloads,
+                                    chunksize=chunk))
     reports: list[dict] = []
     errors: list[str] = []
-    if jobs <= 1 or len(payloads) < 2:
-        results = map(_analyze_payload, payloads)
-    else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        chunk = max(1, len(payloads) // (4 * jobs))
-        results = pool.map(_analyze_payload, payloads, chunksize=chunk)
     for _, report, err in results:
         if err is not None:
             errors.append(err)

@@ -21,7 +21,9 @@ from rigidspec import (
     is_rigid,
     laman_check,
     linked_cliques,
+    numeric_rank,
     pebble_rank,
+    random_placement,
     rigidity_verdict,
 )
 from rigidspec.rigidity import _run_pebble_game
@@ -60,7 +62,7 @@ def test_pebble_rank_order_independence():
         edges = g.edge_list()
         for _ in range(25):
             rng.shuffle(edges)
-            assert len(_run_pebble_game(g.n, edges)) == base
+            assert _run_pebble_game(g.n, edges).rank == base
 
 
 def test_pebble_rank_monotone_under_edge_addition():
@@ -150,6 +152,91 @@ def test_redundancy_shortcut_matches_definition_random():
         assert is_redundantly_rigid(g) == _redundant_by_definition(g)
 
 
+def _coloops_by_rerun(g):
+    """Edges whose deletion drops the pebble rank: one game per edge."""
+    rank = pebble_rank(g)
+    return {e for e in g.edge_list() if pebble_rank(g.without_edge(*e)) < rank}
+
+
+def _coloops_by_numeric_rank(g, seed):
+    """Edges whose deletion drops the rigidity-matrix rank at one generic
+    placement."""
+    pl = random_placement(g.n, seed)
+    rank = numeric_rank(g, pl)
+    return {e for e in g.edge_list()
+            if numeric_rank(g.without_edge(*e), pl) < rank}
+
+
+def _henneberg_graph(rng, n):
+    """Random minimally rigid graph grown by degree-2 additions and edge
+    splits, randomly relabelled."""
+    edges = {(0, 1)}
+    for k in range(2, n):
+        if k == 2 or rng.random() < 0.5:
+            u, v = rng.sample(range(k), 2)
+            edges |= {(u, k), (v, k)}
+        else:
+            u, v = rng.choice(sorted(edges))
+            w = rng.choice([x for x in range(k) if x not in (u, v)])
+            edges.discard((u, v))
+            edges |= {(u, k), (v, k), (w, k)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _with_random_edges(rng, g, count):
+    missing = [e for e in vertex_pairs(g.n) if e not in g.edges]
+    for e in rng.sample(missing, min(count, len(missing))):
+        g = g.with_edge(*e)
+    return g
+
+
+def _coloop_corpus(rng, size):
+    """Sparse G(n,p) graphs (mostly flexible), rigid Henneberg graphs with a
+    few extra edges, and Henneberg graphs with one edge removed and a few
+    extra edges (flexible, with both coloops and circuits)."""
+    graphs = []
+    for k in range(size):
+        n = rng.randint(6, 30)
+        kind = k % 3
+        if kind == 0:
+            g = random_graph(rng, n, rng.uniform(2.5, 7.0) / n)
+        elif kind == 1:
+            g = _with_random_edges(rng, _henneberg_graph(rng, n),
+                                   rng.randint(1, 5))
+        else:
+            h = _henneberg_graph(rng, n)
+            h = h.without_edge(*rng.choice(h.edge_list()))
+            g = _with_random_edges(rng, h, rng.randint(1, 4))
+        graphs.append(g)
+    return graphs
+
+
+def test_one_pass_coloops_match_rerun_and_numeric_rank():
+    rng = random.Random(2005)
+    tally = {"coloops": 0, "rigid_with_coloops": 0, "redundant": 0,
+             "flexible": 0}
+    for k, g in enumerate(_coloop_corpus(rng, 210)):
+        game = _run_pebble_game(g.n, g.edge_list())
+        coloops = set(game.coloops)
+        assert coloops <= set(game.basis)
+        assert coloops == _coloops_by_rerun(g), sorted(g.edges)
+        assert coloops == _coloops_by_numeric_rank(g, seed=k), sorted(g.edges)
+        # coloops lie in every basis, so insertion order cannot move them
+        edges = g.edge_list()
+        rng.shuffle(edges)
+        assert set(_run_pebble_game(g.n, edges).coloops) == coloops
+        rigid = game.rank == 2 * g.n - 3
+        assert is_redundantly_rigid(g) == (rigid and not coloops)
+        tally["coloops"] += bool(coloops)
+        tally["rigid_with_coloops"] += rigid and bool(coloops)
+        tally["redundant"] += rigid and not coloops
+        tally["flexible"] += not rigid
+    # the corpus must exercise every outcome, not just the easy ones
+    assert min(tally.values()) >= 20, tally
+
+
 def test_verdict_implications_exhaustive_n5():
     for g in all_labeled_graphs(5):
         v = rigidity_verdict(g)
@@ -169,8 +256,11 @@ def test_globally_rigid_matches_independent_route_exhaustive_n5():
         h = nx.Graph()
         h.add_nodes_from(range(5))
         h.add_edges_from(g.edges)
-        expected = nx.node_connectivity(h) >= 3 and _redundant_by_definition(g)
+        kappa = nx.node_connectivity(h)
+        expected = kappa >= 3 and _redundant_by_definition(g)
         assert is_globally_rigid(g) == expected
+        assert rigidity_verdict(g).globally_rigid == expected
+        assert rigidity_verdict(g, kappa=kappa).globally_rigid == expected
 
 
 def test_laman_check_matches_subset_oracle():

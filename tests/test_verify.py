@@ -1,5 +1,6 @@
 """Report assembly, deterministic serialisation, corpus analysis, CLI."""
 import json
+import multiprocessing
 import random
 
 import pytest
@@ -138,6 +139,7 @@ def test_analyze_lines_parallel_matches_serial():
     parallel, err2 = analyze_lines(lines, jobs=2)
     assert err1 == err2 == []
     assert [json_stable(r) for r in serial] == [json_stable(r) for r in parallel]
+    assert multiprocessing.active_children() == []
 
 
 def test_laman_extremal_report_ok():
@@ -204,6 +206,17 @@ def test_cli_analyze_bad_line(tmp_path, capsys):
     assert cli_main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err
+
+
+def test_cli_analyze_non_ascii_line(tmp_path, capsys):
+    path = tmp_path / "accent.g6"
+    path.write_bytes(b"Bw\nC\xc3\xa9\nCw\n")
+    assert cli_main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 2: non-ascii byte 0xc3")
+    assert len(captured.err.strip().split("\n")) == 1
+    out = captured.out.strip().split("\n")
+    assert [json.loads(r)["graph6"] for r in out] == ["Bw", "Cw"]
 
 
 def test_cli_analyze_missing_file(capsys):
