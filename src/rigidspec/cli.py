@@ -13,8 +13,7 @@ Exit codes: 0 all checks consistent, 1 a consistency check failed,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -28,6 +27,7 @@ from .verify import (
     laman_extremal_report,
     report_is_consistent,
     reports_to_csv,
+    rows_to_csv,
 )
 
 ENV_SEED = "RIGIDSPEC_SEED"
@@ -35,13 +35,13 @@ DEFAULT_SEED = 1729
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return DEFAULT_SEED
+    raw = os.environ.get(ENV_SEED, str(DEFAULT_SEED))
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"invalid {ENV_SEED}={raw!r}: expected an integer")
+        print(f"invalid {ENV_SEED}={raw!r}: expected an integer",
+              file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,27 +52,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=REPORT_TOL,
-                       help="comparison tolerance for threshold flags")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"random seed (default: ${ENV_SEED} or "
-                            f"{DEFAULT_SEED})")
-
     p = sub.add_parser("analyze", help="analyze a graph6 corpus")
     p.add_argument("path", nargs="?", default="-",
                    help="corpus file, or - for stdin")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--tol", type=float, default=REPORT_TOL,
+                   help="comparison tolerance for threshold flags (>= 0)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for large corpora")
-    common(p)
+                   help="worker processes for large corpora (>= 1)")
 
     p = sub.add_parser("laman-extremal",
                        help="check the radius maximiser among minimally "
                             "rigid graphs")
     p.add_argument("--nmin", type=int, default=3)
     p.add_argument("--nmax", type=int, default=8)
-    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("family-sweep",
                        help="closed-form radius grid for the two-clique "
@@ -81,35 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clique-min", dest="amin", type=int, default=3)
     p.add_argument("--clique-max", dest="amax", type=int, default=12)
     p.add_argument("--nmax", type=int, default=60)
-    common(p)
+    p.set_defaults(format="json")
 
     p = sub.add_parser("extremal",
                        help="audit the two-clique extremal graphs for a "
                             "minimum degree")
     p.add_argument("--delta", type=int, default=6)
     p.add_argument("--nmax", type=int, default=26)
-    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"placement seed (default: ${ENV_SEED} or "
+                        f"{DEFAULT_SEED})")
 
     return top
-
-
-def _rows_csv(rows: Sequence[dict]) -> str:
-    if not rows:
-        return ""
-    cols = list(rows[0].keys())
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for r in rows:
-        w.writerow(["" if r.get(c) is None else r.get(c) for c in cols])
-    return buf.getvalue()
-
-
-def _emit_sweep(report: dict, fmt: str, out) -> None:
-    if fmt == "csv" and "rows" in report:
-        out.write(_rows_csv(report["rows"]))
-    else:
-        out.write(json_stable(report) + "\n")
 
 
 def _cmd_analyze(args, out) -> int:
@@ -139,8 +117,14 @@ def _cmd_analyze(args, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze":
+        if not 0 <= args.tol < math.inf:
+            parser.error(f"argument --tol: must be finite and >= 0, "
+                         f"got {args.tol}")
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     out = sys.stdout
     try:
         if args.command == "analyze":
@@ -151,11 +135,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             report = family_sweep_report(args.links, args.amin, args.amax,
                                          args.nmax)
         else:
+            seed = args.seed if args.seed is not None else _default_seed()
             report = extremal_family_report(args.delta, args.nmax, seed=seed)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
-    _emit_sweep(report, args.format, out)
+    if args.format == "csv":
+        out.write(rows_to_csv(list(report["rows"][0]), report["rows"]))
+    else:
+        out.write(json_stable(report) + "\n")
     return 0 if report["ok"] else 1
 
 

@@ -6,6 +6,8 @@ drives the sweep jobs exposed by the command line.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -14,7 +16,6 @@ from typing import Iterable, Optional, Sequence
 from .graphcore import (
     Graph,
     Graph6Error,
-    complete_split_graph,
     iter_graph6_lines,
     linked_cliques,
     parse_graph6,
@@ -28,7 +29,6 @@ from .oracle import (
     random_placement,
 )
 from .rigidity import (
-    canonical_form,
     enumerate_minimally_rigid,
     is_globally_rigid,
     is_redundantly_rigid,
@@ -82,11 +82,28 @@ def _threshold(n: int, delta: int, links: int) -> Optional[float]:
 
 
 def _isomorphic_to_family(g: Graph, links: int) -> bool:
-    delta = g.min_degree()
-    ref = linked_cliques(g.n, delta + 1, links)
-    if g.m != ref.m or sorted(g.degrees()) != sorted(ref.degrees()):
-        return False
-    return canonical_form(g) == canonical_form(ref)
+    """Whether g is linked_cliques(n, delta + 1, links), delta = min degree.
+
+    Exact when delta >= 6, n >= 2*delta + 4 and links <= 3, as on the report
+    path: every minimum-degree vertex u0 of the family then lies in the small
+    clique off the links, so that clique is N[u0]."""
+    degs = g.degrees()
+    u0 = degs.index(min(degs))
+    small = g.adj[u0] | {u0}
+    cross = 0
+    for part in (small, frozenset(range(g.n)) - small):
+        for v in part:
+            out = len(g.adj[v] - part)
+            if out > 1 or degs[v] - out != len(part) - 1:
+                return False
+            cross += out
+    return cross == 2 * links
+
+
+def _is_hub_pair(g: Graph) -> bool:
+    """Whether g is complete_split_graph(n): for n >= 3, two vertices of
+    degree n-1 and n-2 of degree 2 force K2 joined to an independent set."""
+    return sorted(g.degrees()) == [2] * (g.n - 2) + [g.n - 1, g.n - 1]
 
 
 def analyze_graph(g: Graph, graph6: Optional[str] = None,
@@ -198,48 +215,36 @@ def json_stable(obj) -> str:
     return "".join(out)
 
 
-def _flatten(report: dict) -> dict:
-    flat = {}
-    for k in REPORT_KEYS:
-        v = report[k]
-        if k == "rigidity":
-            for rk in RIGIDITY_KEYS:
-                flat[f"rigidity_{rk}"] = v[rk]
-        else:
-            flat[k] = v
-    return flat
+# the JSON keys in order, with the rigidity verdict spread over its fields
+CSV_COLUMNS = tuple(
+    c for k in REPORT_KEYS
+    for c in ([f"rigidity_{rk}" for rk in RIGIDITY_KEYS]
+              if k == "rigidity" else [k])
+)
 
 
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, float):
-        return _fmt_float(v)
-    return str(v)
+    return v if isinstance(v, str) else json_stable(v)
+
+
+def rows_to_csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """CSV with a header of `columns`; cells as json_stable writes them
+    (lowercase booleans, floats at 12 significant digits), None empty."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(columns)
+    for r in rows:
+        w.writerow([_csv_cell(r[c]) for c in columns])
+    return buf.getvalue()
 
 
 def reports_to_csv(reports: Sequence[dict]) -> str:
-    """CSV with a fixed flattened column order matching the JSON keys."""
-    import csv
-    import io
-
-    cols = []
-    for k in REPORT_KEYS:
-        if k == "rigidity":
-            cols.extend(f"rigidity_{rk}" for rk in RIGIDITY_KEYS)
-        else:
-            cols.append(k)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    for r in reports:
-        flat = _flatten(r)
-        w.writerow([_csv_cell(flat[c]) for c in cols])
-    return buf.getvalue()
+    """Reports as CSV, the rigidity verdict spread over rigidity_* columns."""
+    return rows_to_csv(CSV_COLUMNS, (
+        {**r, **{f"rigidity_{k}": v for k, v in r["rigidity"].items()}}
+        for r in reports))
 
 
 # -- corpus analysis ------------------------------------------------------
@@ -279,11 +284,13 @@ def analyze_lines(
     """
     payloads = [(lineno, text, tol)
                 for lineno, text in iter_graph6_lines(lines)]
-    if jobs <= 1 or len(payloads) < 2:
+    workers = min(jobs, len(payloads))
+    if workers <= 1:
         results = list(map(_analyze_payload, payloads))
     else:
-        chunk = max(1, len(payloads) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, len(payloads) // (4 * workers))
+        # the fork start method launches every worker before any work
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_analyze_payload, payloads,
                                     chunksize=chunk))
     reports: list[dict] = []
@@ -313,9 +320,7 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
         expected = complete_split_rho(n)
         near = [i for i, r in enumerate(rhos) if r > rhos[best] - REPORT_TOL]
         unique = len(near) == 1
-        matches = canonical_form(graphs[best]) == canonical_form(
-            complete_split_graph(n)
-        )
+        matches = _is_hub_pair(graphs[best])
         closed_ok = abs(rhos[best] - expected) <= REPORT_TOL
         row_ok = unique and matches and closed_ok
         ok = ok and row_ok

@@ -1,4 +1,8 @@
 """Report assembly, deterministic serialisation, corpus analysis, CLI."""
+import argparse
+import csv
+import itertools
+import io
 import json
 import multiprocessing
 import random
@@ -12,6 +16,7 @@ from rigidspec import (
     complete_graph,
     complete_split_graph,
     cycle_graph,
+    enumerate_minimally_rigid,
     extremal_family_report,
     family_sweep_report,
     json_stable,
@@ -21,8 +26,14 @@ from rigidspec import (
     reports_to_csv,
     write_graph6,
 )
-from rigidspec.cli import main as cli_main
-from rigidspec.verify import REPORT_KEYS
+from rigidspec.cli import _build_parser, main as cli_main
+from rigidspec.rigidity import canonical_form
+from rigidspec.verify import (
+    CSV_COLUMNS,
+    REPORT_KEYS,
+    _is_hub_pair,
+    _isomorphic_to_family,
+)
 from conftest import random_graph
 
 
@@ -78,6 +89,87 @@ def test_report_flag_failure_path_reachable():
     assert loose["rigid_condition_applicable"]
     assert not loose["rigid_condition_consistent"]
     assert not report_is_consistent(loose)
+
+
+def _family_oracle_graph(rng):
+    """A relabelled two-clique family member or a near miss, built around
+    linked_cliques(n, delta + 1, links) with delta in 6..9 and
+    2*delta + 4 <= n <= 2*delta + 14."""
+    delta = rng.randint(6, 9)
+    n = rng.randint(2 * delta + 4, 2 * delta + 14)
+    a, links = delta + 1, rng.choice((2, 3))
+    kind = rng.choice(("member", "member", "member-big-first", "added",
+                       "deleted", "swap", "shared-endpoint", "cross",
+                       "gnp"))
+    if kind == "gnp":
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < rng.uniform(0.3, 0.5)]
+    elif kind == "member-big-first":
+        edges = linked_cliques(n, n - a, links).edge_list()
+    else:
+        edges = linked_cliques(n, a, 0).edge_list()
+        if kind == "shared-endpoint":
+            edges += [(0, a), (1, a), (2, a + 1)][:links]
+        elif kind == "cross":
+            pairs = [(u, v) for u in range(a) for v in range(a, n)]
+            edges += rng.sample(pairs, rng.randint(1, 4))
+        else:
+            edges += [(j, a + j) for j in range(links)]
+    g = Graph(n, edges)
+    if kind == "added":
+        non = [e for e in itertools.combinations(range(n), 2)
+               if not g.has_edge(*e)]
+        g = g.with_edge(*rng.choice(non))
+    elif kind == "deleted":
+        g = g.without_edge(*rng.choice(g.edge_list()))
+    elif kind == "swap":
+        el = g.edge_list()
+        while True:
+            (u, v), (x, y) = rng.sample(el, 2)
+            if (len({u, v, x, y}) == 4 and not g.has_edge(u, y)
+                    and not g.has_edge(x, v)):
+                break
+        g = g.without_edge(u, v).without_edge(x, y)
+        g = g.with_edge(u, y).with_edge(x, v)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
+def test_family_test_matches_canonical_form():
+    # the structural test against the canonical-labelling definition, on
+    # graphs meeting the report path's preconditions (delta >= 6,
+    # n >= 2*delta + 4, links in {2, 3})
+    rng = random.Random(4099)
+    refs = {}
+    checks = positives = 0
+    while checks < 2400:
+        g = _family_oracle_graph(rng)
+        delta = g.min_degree()
+        if delta < 6 or g.n < 2 * delta + 4:
+            continue
+        form = canonical_form(g)
+        for links in (2, 3):
+            key = (g.n, delta, links)
+            if key not in refs:
+                refs[key] = canonical_form(
+                    linked_cliques(g.n, delta + 1, links))
+            want = form == refs[key]
+            assert _isomorphic_to_family(g, links) == want, (
+                write_graph6(g), links)
+            checks += 1
+            positives += want
+    assert positives >= 200
+
+
+def test_hub_pair_degree_test_matches_canonical_form():
+    for n in range(3, 9):
+        ref = canonical_form(complete_split_graph(n))
+        hits = 0
+        for g in enumerate_minimally_rigid(n):
+            assert _is_hub_pair(g) == (canonical_form(g) == ref)
+            hits += _is_hub_pair(g)
+        assert hits == 1
 
 
 def test_consistency_on_connected_class_corpus(connected_class_reps_upto6):
@@ -140,6 +232,30 @@ def test_analyze_lines_parallel_matches_serial():
     assert err1 == err2 == []
     assert [json_stable(r) for r in serial] == [json_stable(r) for r in parallel]
     assert multiprocessing.active_children() == []
+
+
+def test_analyze_lines_pool_capped_at_line_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("rigidspec.verify.ProcessPoolExecutor", RecordingPool)
+    lines = ["Bw\n", "\n", "Cw\n", "C~\n"]
+    reports, errors = analyze_lines(lines, jobs=64)
+    assert sizes == [3] and len(reports) == 3 and errors == []
+    reports, _ = analyze_lines(lines[:2], jobs=64)  # one graph: no pool
+    assert sizes == [3] and len(reports) == 1
 
 
 def test_laman_extremal_report_ok():
@@ -247,8 +363,17 @@ def test_cli_extremal_with_seed_env(monkeypatch, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["seed"] == 12345
     monkeypatch.setenv("RIGIDSPEC_SEED", "not-an-int")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli_main(["extremal", "--delta", "6", "--nmax", "16"])
+    assert exc.value.code == 2
+    assert "invalid RIGIDSPEC_SEED='not-an-int'" in capsys.readouterr().err
+
+
+def test_cli_analyze_ignores_seed_env(monkeypatch, capsys):
+    monkeypatch.setenv("RIGIDSPEC_SEED", "abc")
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    assert cli_main(["analyze", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 3
 
 
 def test_cli_seed_flag_overrides_env(monkeypatch, capsys):
@@ -262,16 +387,73 @@ def test_cli_seed_flag_overrides_env(monkeypatch, capsys):
 def test_cli_bad_parameters(capsys):
     assert cli_main(["family-sweep", "--links", "1"]) == 2
     assert cli_main(["extremal", "--delta", "3"]) == 2
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["analyze", "--format", "xml", "-"])
-    assert exc.value.code == 2
+    for args in (["--format", "xml"], ["--tol", "nan"], ["--tol", "-1"],
+                 ["--tol", "inf"], ["--jobs", "0"], ["--jobs", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["analyze", "-"] + args)
+        assert exc.value.code == 2, args
     with pytest.raises(SystemExit):
         cli_main([])
 
 
 def test_cli_stdin(monkeypatch, capsys):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
     assert cli_main(["analyze", "-"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["n"] == 3
+
+
+def test_cli_option_sets():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h",
+                                                                   "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "analyze": {"--format", "--tol", "--jobs"},
+        "laman-extremal": {"--nmin", "--nmax", "--format"},
+        "family-sweep": {"--links", "--clique-min", "--clique-max", "--nmax"},
+        "extremal": {"--delta", "--nmax", "--format", "--seed"},
+    }
+
+
+def test_cli_rejects_options_that_do_nothing(capsys):
+    for args in (["analyze", "-", "--seed", "1"],
+                 ["laman-extremal", "--tol", "1"],
+                 ["laman-extremal", "--seed", "1"],
+                 ["family-sweep", "--format", "csv"],
+                 ["family-sweep", "--tol", "1"],
+                 ["family-sweep", "--seed", "1"],
+                 ["extremal", "--tol", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(args)
+        assert exc.value.code == 2, args
+
+
+def _csv_value(cell):
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell
+
+
+def test_cli_sweep_csv_matches_json(capsys):
+    for args in (["laman-extremal", "--nmin", "3", "--nmax", "6"],
+                 ["extremal", "--delta", "6", "--nmax", "17"]):
+        assert cli_main(args) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert cli_main(args + ["--format", "csv"]) == 0
+        text = capsys.readouterr().out
+        parsed = list(csv.DictReader(io.StringIO(text)))
+        assert list(parsed[0]) == list(rows[0])
+        assert [{k: _csv_value(v) for k, v in r.items()}
+                for r in parsed] == rows
+        assert "true" in text and "True" not in text
+
+
+def test_cli_analyze_csv_empty_corpus(tmp_path, capsys):
+    path = _write_corpus(tmp_path, [])
+    assert cli_main(["analyze", path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == ",".join(CSV_COLUMNS) + "\n"
