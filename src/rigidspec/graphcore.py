@@ -403,84 +403,124 @@ def partition_cut(g: Graph, vp: VertexPartition) -> int:
 # gives the size of a minimum vertex cut between non-adjacent terminals.
 # Minimising over a standard pair family yields kappa(G).
 
+SplitNetwork = tuple[list[int], list[int], list[list[int]], dict[Edge, int]]
 
-def _vertex_flow(g: Graph, s: int, t: int) -> int:
-    """Max number of internally disjoint s-t paths; s,t must be non-adjacent."""
-    # node 2v = in-copy, 2v+1 = out-copy; source = out(s), sink = in(t)
-    cap: dict[tuple[int, int], int] = {}
-    nbr: list[set[int]] = [set() for _ in range(2 * g.n)]
 
-    def add(a, b, c):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-        nbr[a].add(b)
-        nbr[b].add(a)
+def _split_network(g: Graph) -> SplitNetwork:
+    """The split digraph of g as flat int arrays, built once per graph.
+
+    Node 2v is v's in-copy and 2v+1 its out-copy.  Arc 2v is v_in -> v_out;
+    every edge uv adds u_out -> v_in and v_out -> u_in.  Arc i and its
+    reverse i ^ 1 are stored together, the reverse with capacity 0.  Every
+    arc has capacity 1: the vertex arcs already bound each s-t path, so the
+    edge arcs need no more.  Returns (heads, base capacities, arcs leaving
+    each node, arc index of u_out -> v_in keyed by (u, v)).
+    """
+    heads: list[int] = []
+    caps: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * g.n)]
+
+    def add(a: int, b: int) -> int:
+        i = len(heads)
+        heads.extend((b, a))
+        caps.extend((1, 0))
+        out[a].append(i)
+        out[b].append(i + 1)
+        return i
 
     for v in range(g.n):
-        if v not in (s, t):
-            add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add(2 * u + 1, 2 * v, g.n)
-        add(2 * v + 1, 2 * u, g.n)
-    src, snk = 2 * s + 1, 2 * t
+        add(2 * v, 2 * v + 1)
+    arc: dict[Edge, int] = {}
+    for u, v in g.edge_list():
+        arc[u, v] = add(2 * u + 1, 2 * v)
+        arc[v, u] = add(2 * v + 1, 2 * u)
+    return heads, caps, out, arc
+
+
+def _flow(net: SplitNetwork, g: Graph, s: int, t: int, limit: int) -> int:
+    """min(limit, number of internally disjoint s-t paths); s, t non-adjacent.
+
+    One path s -> w -> t through each common neighbour w is pushed first:
+    these paths share no inner vertex, so they are a valid flow found
+    without search.  BFS augmentation (source out(s), sink in(t)) then
+    stops as soon as the flow reaches `limit`.
+    """
+    heads, base, out, arc = net
+    cap = base[:]
     flow = 0
-    while True:
-        parent = {src: src}
-        queue = deque([src])
-        while queue and snk not in parent:
-            x = queue.popleft()
-            for y in nbr[x]:
-                if y not in parent and cap[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if snk not in parent:
+    for w in g.adj[s] & g.adj[t]:
+        if flow >= limit:
+            return flow
+        for i in (arc[s, w], 2 * w, arc[w, t]):
+            cap[i] = 0
+            cap[i ^ 1] = 1
+        flow += 1
+    src, snk = 2 * s + 1, 2 * t
+    while flow < limit:
+        parent = [-1] * len(out)  # arc by which BFS reached each node
+        parent[src] = -2
+        queue = [src]
+        for x in queue:
+            for i in out[x]:
+                if cap[i]:
+                    y = heads[i]
+                    if parent[y] == -1:
+                        parent[y] = i
+                        queue.append(y)
+            if parent[snk] != -1:
+                break
+        else:  # the sink is out of reach: the flow is maximum
             return flow
         y = snk
         while y != src:
-            x = parent[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-            y = x
+            i = parent[y]
+            cap[i] = 0
+            cap[i ^ 1] = 1
+            y = heads[i ^ 1]
         flow += 1
+    return flow
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertices whose removal disconnects g (or n-1 for K_n).
+def _connectivity(g: Graph, limit: int) -> int:
+    """min(kappa(g), limit) for a graph with at least one vertex.
 
     For a fixed vertex u0 it suffices to minimise the terminal flow over
     all v outside N[u0] and over all non-adjacent pairs inside N(u0):
     any minimum cut misses some vertex of N[u0] or separates two
-    neighbours of u0.
+    neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
+    degree, the running best starts at min(delta, limit), since kappa <=
+    delta off the complete graph, and caps every later flow.
     """
     n = g.n
-    if n <= 1:
-        raise ValueError("connectivity needs at least 2 vertices")
     if g.is_complete():
-        return n - 1
+        return min(n - 1, limit)
     if not g.is_connected():
         return 0
     u0 = min(range(n), key=g.degree)
-    best = n - 1
-    closed = set(g.adj[u0]) | {u0}
+    best = min(g.degree(u0), limit)
+    net = _split_network(g)
+    closed = g.adj[u0] | {u0}
     for v in range(n):
         if v not in closed:
-            best = min(best, _vertex_flow(g, u0, v))
-            if best == 0:
-                return 0
+            best = _flow(net, g, u0, v, best)
     for x, y in combinations(sorted(g.adj[u0]), 2):
         if y not in g.adj[x]:
-            best = min(best, _vertex_flow(g, x, y))
-            if best == 0:
-                return 0
+            best = _flow(net, g, x, y, best)
     return best
 
 
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum number of vertices whose removal disconnects g (or n-1 for K_n)."""
+    if g.n <= 1:
+        raise ValueError("connectivity needs at least 2 vertices")
+    return _connectivity(g, g.n - 1)
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True when g has more than k vertices and no cut of fewer than k vertices."""
+    """True when g has more than k vertices and no cut of fewer than k vertices.
+
+    The flows stop at k, so exact connectivity is never computed.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return g.n >= 1
-    if g.n <= k:
-        return False
-    return vertex_connectivity(g) >= k
+    return g.n > k and _connectivity(g, k) >= k

@@ -34,6 +34,31 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, [e for e in vertex_pairs(n) if rng.random() < p])
 
 
+def henneberg_graph(rng, n):
+    """Random minimally rigid graph grown by degree-2 additions and edge
+    splits, randomly relabelled."""
+    edges = {(0, 1)}
+    for k in range(2, n):
+        if k == 2 or rng.random() < 0.5:
+            u, v = rng.sample(range(k), 2)
+            edges |= {(u, k), (v, k)}
+        else:
+            u, v = rng.choice(sorted(edges))
+            w = rng.choice([x for x in range(k) if x not in (u, v)])
+            edges.discard((u, v))
+            edges |= {(u, k), (v, k), (w, k)}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def with_random_edges(rng, g, count):
+    missing = [e for e in vertex_pairs(g.n) if e not in g.edges]
+    for e in rng.sample(missing, min(count, len(missing))):
+        g = g.with_edge(*e)
+    return g
+
+
 def pair_permutation_tables(n):
     """For every vertex permutation, the induced map on pair indices.
 

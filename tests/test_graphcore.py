@@ -1,5 +1,7 @@
 """Graph construction, cut counting, and vertex connectivity."""
 import random
+from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +18,13 @@ from rigidspec import (
     partition_cut,
     vertex_connectivity,
 )
-from conftest import all_labeled_graphs, random_graph
+from rigidspec.graphcore import _flow, _split_network
+from conftest import (
+    all_labeled_graphs,
+    henneberg_graph,
+    random_graph,
+    with_random_edges,
+)
 
 
 def test_construction_validation():
@@ -192,6 +200,137 @@ def test_vertex_connectivity_random_vs_networkx():
         h.add_nodes_from(range(n))
         h.add_edges_from(g.edges)
         assert vertex_connectivity(g) == nx.node_connectivity(h)
+
+
+def _local_connectivity_by_definition(g, s, t):
+    """Max number of internally disjoint s-t paths, s and t non-adjacent:
+    a unit-capacity flow on a split digraph rebuilt as a dict for the pair."""
+    # node 2v = in-copy, 2v+1 = out-copy; source = out(s), sink = in(t)
+    cap = {}
+    nbr = [set() for _ in range(2 * g.n)]
+
+    def add(a, b, c):
+        cap[(a, b)] = cap.get((a, b), 0) + c
+        cap.setdefault((b, a), 0)
+        nbr[a].add(b)
+        nbr[b].add(a)
+
+    for v in range(g.n):
+        if v not in (s, t):
+            add(2 * v, 2 * v + 1, 1)
+    for u, v in g.edges:
+        add(2 * u + 1, 2 * v, g.n)
+        add(2 * v + 1, 2 * u, g.n)
+    src, snk = 2 * s + 1, 2 * t
+    flow = 0
+    while True:
+        parent = {src: src}
+        queue = deque([src])
+        while queue and snk not in parent:
+            x = queue.popleft()
+            for y in nbr[x]:
+                if y not in parent and cap[(x, y)] > 0:
+                    parent[y] = x
+                    queue.append(y)
+        if snk not in parent:
+            return flow
+        y = snk
+        while y != src:
+            x = parent[y]
+            cap[(x, y)] -= 1
+            cap[(y, x)] += 1
+            y = x
+        flow += 1
+
+
+def test_pair_flow_matches_definition():
+    """The seeded, capped flow on the shared split network against the
+    per-pair dict network, for every non-adjacent pair of each graph."""
+    rng = random.Random(2024)
+    pairs = 0
+    for k in range(60):
+        n = rng.randint(8, 25)
+        p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
+        g = random_graph(rng, n, p)
+        net = _split_network(g)
+        for s, t in combinations(range(n), 2):
+            if g.has_edge(s, t):
+                continue
+            expect = _local_connectivity_by_definition(g, s, t)
+            assert _flow(net, g, s, t, g.n) == expect, (g.edges, s, t)
+            assert _flow(net, g, t, s, g.n) == expect, (g.edges, t, s)
+            cap = rng.randint(0, expect + 1)
+            assert _flow(net, g, s, t, cap) == min(cap, expect)
+            pairs += 1
+    assert pairs > 1000
+
+
+def _relabelled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _connectivity_corpus(rng):
+    """Graphs with 10 <= n <= 40 where the pair flows' seeding and caps
+    matter: dense and medium G(n,p), Henneberg graphs with extra edges,
+    relabelled two-clique graphs, K_n - e, K_{a,b}, disconnected graphs
+    and paths."""
+    graphs = []
+    for _ in range(130):
+        n = rng.randint(10, 40)
+        graphs.append(random_graph(rng, n, rng.uniform(0.3, 0.95)))
+    for _ in range(60):
+        n = rng.randint(10, 40)
+        graphs.append(with_random_edges(rng, henneberg_graph(rng, n),
+                                        rng.randint(0, 3 * n)))
+    for _ in range(60):
+        delta = rng.randint(6, 9)
+        n = rng.randint(2 * delta + 4, 40)
+        g = linked_cliques(n, delta + 1, rng.randint(1, 3))
+        graphs.append(_relabelled(rng, g))
+    for _ in range(20):
+        # two cliques joined only through a small clique Z whose vertices
+        # have the minimum degree: every minimum cut contains u0, so only
+        # the pairs inside N(u0) find it
+        z, a, m = rng.randint(1, 3), rng.randint(1, 2), rng.randint(8, 18)
+        edges = list(combinations(range(z), 2))
+        for lo in (z, z + m):
+            edges += [(x + lo, y + lo) for x, y in combinations(range(m), 2)]
+            edges += [(x, lo + y) for x in range(z)
+                      for y in rng.sample(range(m), a)]
+        graphs.append(_relabelled(rng, Graph(z + 2 * m, edges)))
+    for n in range(10, 41, 3):
+        u, v = rng.sample(range(n), 2)
+        graphs.append(complete_graph(n).without_edge(u, v))
+        a = rng.randint(1, n - 1)
+        graphs.append(_relabelled(rng, Graph(
+            n, [(x, y) for x in range(a) for y in range(a, n)])))
+    for _ in range(20):
+        n = rng.randint(10, 40)
+        a = rng.randint(1, n - 1)
+        g = random_graph(rng, a, rng.uniform(0.3, 0.95))
+        h = random_graph(rng, n - a, rng.uniform(0.3, 0.95))
+        graphs.append(_relabelled(rng, Graph(
+            n, list(g.edges) + [(x + a, y + a) for x, y in h.edges])))
+    for n in range(10, 41, 3):
+        graphs.append(_relabelled(
+            rng, Graph(n, [(i, i + 1) for i in range(n - 1)])))
+    return graphs
+
+
+def test_connectivity_at_benchmark_sizes_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = _connectivity_corpus(random.Random(4321))
+    assert len(graphs) >= 300
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        kappa = nx.node_connectivity(h)
+        assert vertex_connectivity(g) == kappa, g.edges
+        for k in range(7):
+            assert is_k_connected(g, k) == (g.n > k and kappa >= k), (k, g.edges)
 
 
 def test_is_k_connected_thresholds():

@@ -1,0 +1,77 @@
+"""Property tests: graph6 round trip, and connectivity and reports invariant
+under vertex relabelling."""
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from rigidspec import (  # noqa: E402
+    Graph,
+    analyze_graph,
+    complete_graph,
+    json_stable,
+    parse_graph6,
+    vertex_connectivity,
+    write_graph6,
+)
+from rigidspec.verify import REPORT_TOL  # noqa: E402
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def graphs(draw, min_n, max_n):
+    n = draw(st.integers(min_n, max_n))
+    p = draw(st.floats(0.0, 1.0))
+    # edges from a drawn seed: a drawn bit per pair would overrun
+    # hypothesis's input buffer at n = 70
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, [(u, v) for v in range(n) for u in range(v)
+                     if rng.random() < p])
+
+
+@st.composite
+def relabelled_pairs(draw, min_n, max_n):
+    g = draw(graphs(min_n, max_n))
+    perm = draw(st.permutations(range(g.n)))
+    return g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@PROPERTY
+@given(graphs(0, 70))
+@example(complete_graph(62))
+@example(complete_graph(63))
+def test_graph6_round_trip(g):
+    line = write_graph6(g)
+    assert (line[0] == "~") == (g.n >= 63)
+    assert parse_graph6(line) == g
+    assert write_graph6(parse_graph6(line)) == line
+
+
+@PROPERTY
+@given(relabelled_pairs(2, 16))
+def test_connectivity_invariant_under_relabelling(pair):
+    g, h = pair
+    assert vertex_connectivity(g) == vertex_connectivity(h)
+
+
+# eigensolver output: a permuted matrix changes the rounding, which can flip
+# the 12th significant digit, and a disconnected graph's second Laplacian
+# eigenvalue comes out as noise of order 1e-16 rather than 0
+EIGENVALUE_FIELDS = ("rho", "algebraic_connectivity")
+
+
+@PROPERTY
+@given(relabelled_pairs(1, 14))
+def test_report_invariant_under_relabelling(pair):
+    """Every field but graph6 serialises to the same bytes, except the two
+    eigenvalues, which agree to REPORT_TOL."""
+    g, h = pair
+    a, b = analyze_graph(g), analyze_graph(h)
+    for key in ("graph6",) + EIGENVALUE_FIELDS:
+        x, y = a.pop(key), b.pop(key)
+        if key != "graph6" and x is not None:
+            assert abs(x - y) <= REPORT_TOL * max(1.0, abs(x)), key
+    assert json_stable(a) == json_stable(b)

@@ -30,10 +30,12 @@ from rigidspec.rigidity import _run_pebble_game
 from conftest import (
     all_labeled_graphs,
     graph_from_mask,
+    henneberg_graph,
     minperm_canonical_masks,
     pair_permutation_tables,
     random_graph,
     vertex_pairs,
+    with_random_edges,
 )
 
 # census of minimally rigid graphs per order, from the published tables
@@ -167,31 +169,6 @@ def _coloops_by_numeric_rank(g, seed):
             if numeric_rank(g.without_edge(*e), pl) < rank}
 
 
-def _henneberg_graph(rng, n):
-    """Random minimally rigid graph grown by degree-2 additions and edge
-    splits, randomly relabelled."""
-    edges = {(0, 1)}
-    for k in range(2, n):
-        if k == 2 or rng.random() < 0.5:
-            u, v = rng.sample(range(k), 2)
-            edges |= {(u, k), (v, k)}
-        else:
-            u, v = rng.choice(sorted(edges))
-            w = rng.choice([x for x in range(k) if x not in (u, v)])
-            edges.discard((u, v))
-            edges |= {(u, k), (v, k), (w, k)}
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
-
-
-def _with_random_edges(rng, g, count):
-    missing = [e for e in vertex_pairs(g.n) if e not in g.edges]
-    for e in rng.sample(missing, min(count, len(missing))):
-        g = g.with_edge(*e)
-    return g
-
-
 def _coloop_corpus(rng, size):
     """Sparse G(n,p) graphs (mostly flexible), rigid Henneberg graphs with a
     few extra edges, and Henneberg graphs with one edge removed and a few
@@ -203,12 +180,12 @@ def _coloop_corpus(rng, size):
         if kind == 0:
             g = random_graph(rng, n, rng.uniform(2.5, 7.0) / n)
         elif kind == 1:
-            g = _with_random_edges(rng, _henneberg_graph(rng, n),
-                                   rng.randint(1, 5))
+            g = with_random_edges(rng, henneberg_graph(rng, n),
+                                  rng.randint(1, 5))
         else:
-            h = _henneberg_graph(rng, n)
+            h = henneberg_graph(rng, n)
             h = h.without_edge(*rng.choice(h.edge_list()))
-            g = _with_random_edges(rng, h, rng.randint(1, 4))
+            g = with_random_edges(rng, h, rng.randint(1, 4))
         graphs.append(g)
     return graphs
 
