@@ -107,17 +107,7 @@ class Graph:
     # -- traversal --------------------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return len(seen) == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> list[frozenset[int]]:
         seen = [False] * self.n

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphcore import Graph, VertexPartition, partition_cut
+from .graphcore import Graph, VertexPartition, boundary_size, partition_cut
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -75,17 +75,15 @@ def trivial_motion_space(pl: Placement) -> np.ndarray:
     return basis
 
 
-def numeric_rank(g: Graph, pl: Optional[Placement] = None,
-                 tol: float = DEFAULT_RANK_TOL, seed: int = 0) -> int:
-    """Singular-value rank of the rigidity matrix, relative threshold."""
-    if pl is None:
-        pl = random_placement(g.n, seed)
+def numeric_rank(g: Graph, pl: Placement) -> int:
+    """Singular-value rank of the rigidity matrix, with threshold
+    DEFAULT_RANK_TOL relative to the largest singular value."""
     if g.m == 0:
         return 0
     svals = np.linalg.svd(rigidity_matrix(g, pl), compute_uv=False)
     if svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > tol * svals[0]))
+    return int(np.sum(svals > DEFAULT_RANK_TOL * svals[0]))
 
 
 # -- exponential-time sparsity oracles ------------------------------------
@@ -193,8 +191,10 @@ def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list
     if not rest:
         return
     yield [[v] for v in rest]
-    comps = [sorted(c - zset) for c in _components_without(g, zset)]
-    comps = [c for c in comps if c]
+    # without its edges each Z vertex is a singleton component; the rest
+    # are the components of g - Z, in order of least vertex
+    g_z = Graph(g.n, [e for e in g.edges if zset.isdisjoint(e)])
+    comps = [sorted(c) for c in g_z.components() if not c <= zset]
     if len(comps) > 1:
         yield comps
     restset = set(rest)
@@ -211,26 +211,6 @@ def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list
         other = sorted(restset - set(clique))
         if other:
             yield [sorted(clique), other]
-
-
-def _components_without(g: Graph, zset: frozenset[int]) -> list[set[int]]:
-    seen = set(zset)
-    out = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in g.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        out.append(comp)
-    return out
 
 
 def packing_violation_search(
@@ -284,10 +264,8 @@ def cut_size_law_holds(g: Graph, subset: Iterable[int]) -> bool:
     which exceeds delta - 1 whenever 1 <= |U| <= delta.
     """
     fs = frozenset(subset)
-    if not fs or len(fs) == g.n:
-        raise ValueError("subset must be nonempty and proper")
+    out = boundary_size(g, fs)
     delta = g.min_degree()
-    out = sum(1 for u, v in g.edges if (u in fs) != (v in fs))
     if out > delta - 1:
         return True
     return len(fs) >= delta + 1

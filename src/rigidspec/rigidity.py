@@ -3,11 +3,11 @@ canonical labelling, and inductive enumeration of minimally rigid graphs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .graphcore import Graph, complete_split_graph, is_k_connected, write_graph6
+from .graphcore import Graph, is_k_connected, write_graph6
 
 Edge = tuple[int, int]
 
@@ -166,18 +166,11 @@ def is_redundantly_rigid(g: Graph) -> bool:
 
 
 def is_globally_rigid(g: Graph) -> bool:
-    """Unique generic realisation up to congruence.
-
-    Complete graphs on at most 3 vertices qualify outright; otherwise the
-    combinatorial characterisation is 3-connectivity plus redundant rigidity
-    (Jackson & Jordan 2005).  Redundancy costs one pebble game, so it is
-    tested first and connectivity only when it holds.
-    """
+    """Unique generic realisation up to congruence, as `rigidity_verdict`
+    decides it."""
     if g.n < 2:
         raise ValueError("global rigidity needs at least 2 vertices")
-    if g.n <= 3:
-        return g.is_complete()
-    return is_redundantly_rigid(g) and is_k_connected(g, 3)
+    return rigidity_verdict(g).globally_rigid
 
 
 @dataclass(frozen=True)
@@ -189,19 +182,19 @@ class RigidityVerdict:
     globally_rigid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "rigid": self.rigid,
-            "minimally_rigid": self.minimally_rigid,
-            "redundantly_rigid": self.redundantly_rigid,
-            "globally_rigid": self.globally_rigid,
-        }
+        # not dataclasses.asdict, which deep-copies every field
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def rigidity_verdict(g: Graph,
                      kappa: Optional[int] = None) -> RigidityVerdict:
     """All rigidity predicates from one pebble game.  Single vertices count
     as rigid.
+
+    Complete graphs on at most 3 vertices are globally rigid outright;
+    otherwise the combinatorial characterisation is redundant rigidity plus
+    3-connectivity (Jackson & Jordan 2005), and connectivity is tested only
+    when redundancy holds.
 
     `kappa`, the vertex connectivity when the caller already has it, saves
     recomputing it; it is only consulted for redundantly rigid graphs on at
@@ -353,8 +346,7 @@ def enumerate_minimally_rigid(n: int) -> list[Graph]:
         nxt: dict[str, Graph] = {}
         for g in level.values():
             for h in _extensions(g):
-                key = canonical_form(h)
-                if key not in nxt:
-                    nxt[key] = canonical_graph(h)
+                c = canonical_graph(h)
+                nxt.setdefault(write_graph6(c), c)
         level = nxt
     return [level[k] for k in sorted(level)]

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from typing import Iterable, Optional, Sequence
 
 from .graphcore import (
@@ -29,9 +30,8 @@ from .oracle import (
     random_placement,
 )
 from .rigidity import (
+    RigidityVerdict,
     enumerate_minimally_rigid,
-    is_globally_rigid,
-    is_redundantly_rigid,
     pebble_rank,
     rigidity_verdict,
 )
@@ -63,13 +63,7 @@ REPORT_KEYS = (
     "rho_threshold_global",
 )
 
-RIGIDITY_KEYS = (
-    "rank",
-    "rigid",
-    "minimally_rigid",
-    "redundantly_rigid",
-    "globally_rigid",
-)
+RIGIDITY_KEYS = tuple(f.name for f in fields(RigidityVerdict))
 
 
 def _threshold(n: int, delta: int, links: int) -> Optional[float]:
@@ -410,6 +404,8 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
             and not packing_condition_holds(b2, 1, witness)
         )
         pl = random_placement(n, seed)
+        kappa3 = vertex_connectivity(b3)
+        v3 = rigidity_verdict(b3, kappa=kappa3)
         checks = {
             "b2_min_degree": b2.min_degree() == delta,
             "b2_connectivity": vertex_connectivity(b2) == 2,
@@ -417,14 +413,14 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
             "b2_numeric_rank": numeric_rank(b2, pl) == 2 * n - 4,
             "b2_witness": wit_ok,
             "b3_min_degree": b3.min_degree() == delta,
-            "b3_connectivity": vertex_connectivity(b3) == 3,
-            "b3_rank": pebble_rank(b3) == 2 * n - 3,
+            "b3_connectivity": kappa3 == 3,
+            "b3_rank": v3.rank == 2 * n - 3,
             "b3_numeric_rank": numeric_rank(b3, pl) == 2 * n - 3,
             "b3_no_witness": packing_violation_search(
                 b3, 1, zmax=0, mode="structured") is None,
+            "b3_rigid_not_redundant": not v3.redundantly_rigid,
+            "b3_not_globally_rigid": not v3.globally_rigid,
         }
-        checks["b3_rigid_not_redundant"] = not is_redundantly_rigid(b3)
-        checks["b3_not_globally_rigid"] = not is_globally_rigid(b3)
         row_ok = all(checks.values())
         ok = ok and row_ok
         rows.append({"n": n, **checks, "ok": row_ok})

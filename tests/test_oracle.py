@@ -210,3 +210,5 @@ def test_cut_size_law_validation():
         cut_size_law_holds(g, [])
     with pytest.raises(ValueError):
         cut_size_law_holds(g, range(4))
+    with pytest.raises(ValueError):
+        cut_size_law_holds(cycle_graph(6), [0, 1, 2, 3, 4, 5, 99])

@@ -25,6 +25,7 @@ from rigidspec import (
     pebble_rank,
     random_placement,
     rigidity_verdict,
+    write_graph6,
 )
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
@@ -340,6 +341,15 @@ def test_enumeration_members_are_minimally_rigid_and_distinct():
         for g in graphs:
             assert laman_check(g)
             assert brute_minimally_rigid(g)
+
+
+def test_enumeration_returns_canonical_labellings_in_order():
+    # laman-extremal prints these labellings as argmax_graph6
+    for n in range(3, 8):
+        graphs = enumerate_minimally_rigid(n)
+        lines = [write_graph6(g) for g in graphs]
+        assert lines == [canonical_form(g) for g in graphs]
+        assert lines == sorted(lines)
 
 
 def test_enumeration_complete_via_labeled_count_n7():
