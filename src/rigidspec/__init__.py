@@ -40,6 +40,7 @@ from .rigidity import (
     is_redundantly_rigid,
     is_rigid,
     laman_check,
+    minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
 )

@@ -28,7 +28,6 @@ class Placement:
     """Planar coordinates for vertices 0..n-1, one row per vertex."""
 
     coords: np.ndarray
-    seed: Optional[int] = None
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=float)
@@ -47,7 +46,7 @@ class Placement:
 def random_placement(n: int, seed: int) -> Placement:
     """Points drawn uniformly from [1, 2)^2; deterministic in the seed."""
     rng = np.random.default_rng(seed)
-    return Placement(1.0 + rng.random((n, 2)), seed=seed)
+    return Placement(1.0 + rng.random((n, 2)))
 
 
 def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:
@@ -214,20 +213,17 @@ def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list
 
 
 def packing_violation_search(
-    g: Graph, k: int, zmax: int = 2, mode: str = "auto"
+    g: Graph, k: int, zmax: int = 2, *, mode: str
 ) -> Optional[VertexPartition]:
     """First (Z, partition) violating the packing inequality, or None.
 
     mode 'exhaustive' sweeps every Z up to zmax and every partition of the
     rest (n <= 10 only); 'structured' tries a deterministic family of
     candidate partitions (singletons, components, closed neighbourhoods,
-    greedy cliques) and scales to larger graphs; 'auto' picks exhaustive
-    for n <= 8.
+    greedy cliques) and scales to larger graphs.
     """
     if zmax < 0 or zmax > 2:
         raise ValueError(f"zmax must be in 0..2, got {zmax}")
-    if mode == "auto":
-        mode = "exhaustive" if g.n <= 8 else "structured"
     if mode == "exhaustive" and g.n > 10:
         raise ValueError(f"exhaustive search capped at n=10, got n={g.n}")
     if mode not in ("exhaustive", "structured"):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphcore import Graph, is_k_connected, write_graph6
 
@@ -331,22 +331,28 @@ def _extensions(g: Graph) -> Iterable[Graph]:
                 yield base.with_vertex((u, v, w))
 
 
-def enumerate_minimally_rigid(n: int) -> list[Graph]:
-    """All minimally rigid graphs on n vertices, one per isomorphism class.
+def minimally_rigid_levels(nmin: int,
+                           nmax: int) -> Iterator[tuple[int, list[Graph]]]:
+    """Yield (n, graphs) for nmin <= n <= nmax: one canonically labelled
+    graph per class of minimally rigid graphs on n vertices, graph6 sorted.
 
-    Grown from a single edge by degree-2 additions and edge splits, with
-    canonical-form deduplication at every level.  Practical for n <= 9.
+    Grown once from a single edge by degree-2 additions and edge splits.
+    Canonical graphs are equal exactly when their sources are isomorphic,
+    so a set of them deduplicates each level.  Practical for n <= 9.
     """
+    if not 2 <= nmin <= nmax <= 9:
+        raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
+    level = {Graph(2, [(0, 1)])}
+    for n in range(2, nmax + 1):
+        if n > 2:
+            level = {canonical_graph(h) for g in level for h in _extensions(g)}
+        if n >= nmin:
+            yield n, sorted(level, key=write_graph6)
+
+
+def enumerate_minimally_rigid(n: int) -> list[Graph]:
+    """All minimally rigid graphs on n vertices, one per isomorphism class,
+    in canonical labelling and graph6 order."""
     if not 2 <= n <= 9:
         raise ValueError(f"enumeration supported for 2 <= n <= 9, got {n}")
-    level: dict[str, Graph] = {}
-    seed = Graph(2, [(0, 1)])
-    level[canonical_form(seed)] = seed
-    for _ in range(n - 2):
-        nxt: dict[str, Graph] = {}
-        for g in level.values():
-            for h in _extensions(g):
-                c = canonical_graph(h)
-                nxt.setdefault(write_graph6(c), c)
-        level = nxt
-    return [level[k] for k in sorted(level)]
+    return next(minimally_rigid_levels(n, n))[1]

@@ -234,12 +234,9 @@ def complete_split_rho(n: int) -> float:
 
 def hong_bound(n: int, m: int, delta: int) -> float:
     """Hong-type spectral radius upper bound from order, size, min degree."""
-    if n < 1 or m < 0 or delta < 1:
-        raise ValueError(f"need n >= 1, m >= 0, delta >= 1: {(n, m, delta)}")
-    radicand = 2.0 * m - n * delta + (delta + 1.0) ** 2 / 4.0
-    if radicand < 0.0:
-        raise ValueError(f"radicand negative for (n={n}, m={m}, delta={delta})")
-    return (delta - 1.0) / 2.0 + math.sqrt(radicand)
+    if delta < 1:
+        raise ValueError(f"need delta >= 1, got {delta}")
+    return hong_bound_function(n, m, delta)
 
 
 def hong_equality_condition(g: Graph) -> bool:

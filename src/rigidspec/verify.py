@@ -31,7 +31,7 @@ from .oracle import (
 )
 from .rigidity import (
     RigidityVerdict,
-    enumerate_minimally_rigid,
+    minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
 )
@@ -301,14 +301,13 @@ def analyze_lines(
 
 
 def laman_extremal_report(nmin: int, nmax: int) -> dict:
-    """Enumerate minimally rigid graphs per order and compare the maximum
+    """Grow the minimally rigid graphs once and compare each order's maximum
     spectral radius with the hub-pair closed form (1 + sqrt(8n-15))/2."""
     if not 3 <= nmin <= nmax <= 9:
         raise ValueError(f"need 3 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
     rows = []
     ok = True
-    for n in range(nmin, nmax + 1):
-        graphs = enumerate_minimally_rigid(n)
+    for n, graphs in minimally_rigid_levels(nmin, nmax):
         rhos = [spectral_radius(g) for g in graphs]
         best = max(range(len(graphs)), key=rhos.__getitem__)
         expected = complete_split_rho(n)

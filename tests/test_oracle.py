@@ -152,11 +152,14 @@ def test_packing_violation_search_modes():
     assert packing_violation_search(complete_graph(7), 1, zmax=2,
                                     mode="exhaustive") is None
     with pytest.raises(ValueError):
-        packing_violation_search(complete_graph(4), 1, zmax=3)
+        packing_violation_search(complete_graph(4), 1, zmax=3,
+                                 mode="exhaustive")
     with pytest.raises(ValueError):
         packing_violation_search(Graph(12), 1, mode="exhaustive")
     with pytest.raises(ValueError):
         packing_violation_search(c6, 1, mode="nope")
+    with pytest.raises(ValueError):
+        packing_violation_search(c6, 1, mode="auto")
 
 
 def test_packing_witness_for_two_clique_family():

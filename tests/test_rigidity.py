@@ -20,13 +20,16 @@ from rigidspec import (
     is_redundantly_rigid,
     is_rigid,
     laman_check,
+    laman_extremal_report,
     linked_cliques,
+    minimally_rigid_levels,
     numeric_rank,
     pebble_rank,
     random_placement,
     rigidity_verdict,
     write_graph6,
 )
+from rigidspec import rigidity
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
     all_labeled_graphs,
@@ -402,3 +405,31 @@ def test_enumeration_rejects_out_of_range():
         enumerate_minimally_rigid(1)
     with pytest.raises(ValueError):
         enumerate_minimally_rigid(10)
+
+
+def test_levels_match_enumeration_per_order():
+    levels = list(minimally_rigid_levels(2, 7))
+    assert [n for n, _ in levels] == list(range(2, 8))
+    for n, graphs in levels:
+        assert graphs == enumerate_minimally_rigid(n)
+    for nmin, nmax in ((1, 3), (5, 4), (3, 10)):
+        with pytest.raises(ValueError):
+            list(minimally_rigid_levels(nmin, nmax))
+
+
+def test_laman_sweep_grows_each_level_once(monkeypatch):
+    labelled = rigidity.canonical_graph
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return labelled(g)
+
+    monkeypatch.setattr(rigidity, "canonical_graph", counting)
+    enumerate_minimally_rigid(7)
+    alone, calls = calls, 0
+    rep = laman_extremal_report(3, 7)
+    assert calls == alone
+    assert rep["rows"] == [laman_extremal_report(n, n)["rows"][0]
+                           for n in range(3, 8)]

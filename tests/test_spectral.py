@@ -179,6 +179,10 @@ def test_hong_bound_values_and_validation():
         hong_bound(5, 7, 0)
     with pytest.raises(ValueError):
         hong_bound(10, 0, 9)  # radicand negative
+    with pytest.raises(ValueError):
+        hong_bound(4, 7, 2)  # 2m > n(n - 1)
+    with pytest.raises(ValueError):
+        hong_bound(4, 5, 4)  # delta > n - 1
 
 
 def test_hong_equality_condition():

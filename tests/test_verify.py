@@ -15,15 +15,19 @@ from rigidspec import (
     analyze_lines,
     complete_graph,
     complete_split_graph,
+    complete_split_rho,
     cycle_graph,
     enumerate_minimally_rigid,
     extremal_family_report,
     family_sweep_report,
+    hong_bound,
     json_stable,
     laman_extremal_report,
     linked_cliques,
+    minimally_rigid_levels,
     report_is_consistent,
     reports_to_csv,
+    spectral_radius,
     write_graph6,
 )
 from rigidspec.cli import _build_parser, main as cli_main
@@ -265,6 +269,21 @@ def test_laman_extremal_report_ok():
     assert all(row["argmax_is_hub_pair"] for row in rep["rows"])
     with pytest.raises(ValueError):
         laman_extremal_report(3, 10)
+
+
+def test_hong_bound_certifies_hub_pair_for_every_order():
+    """Hong's bound with its equality case proves laman-extremal's claim
+    for every n: at m = 2n - 3 it is decreasing in the minimum degree, it
+    equals the hub-pair radius at degree 2 and falls below it at degree 3."""
+    for n in range(3, 200):
+        assert hong_bound(n, 2 * n - 3, 2) == complete_split_rho(n)
+        if n >= 4:
+            assert hong_bound(n, 2 * n - 3, 3) < complete_split_rho(n)
+    for n, graphs in minimally_rigid_levels(3, 8):
+        for g in graphs:
+            rho = spectral_radius(g)
+            assert rho <= hong_bound(n, g.m, g.min_degree()) + 1e-9
+            assert (rho > complete_split_rho(n) - 1e-9) == _is_hub_pair(g)
 
 
 def test_family_sweep_report_ok():
