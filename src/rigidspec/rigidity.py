@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphcore import Graph, is_k_connected, write_graph6
 
@@ -226,16 +226,40 @@ def rigidity_verdict(g: Graph,
 # label-invariant classes; a class-respecting backtracking search then
 # maximises the upper-triangle bit string, which is exactly the graph6
 # body, so the canonical form doubles as a corpus-ready graph6 line.
+# Both steps read adjacency bitmasks: bit w of adj[v] is the edge vw.
+#
+# The search gives up after CANONICAL_NODE_BUDGET nodes.  Refinement cannot
+# split the vertices of a vertex-transitive graph: the 5-cube takes about
+# 110 000 nodes, and the 6-cube would otherwise take minutes.  No labelling
+# of a minimally rigid graph on at most 9 vertices takes more than 400.
+
+CANONICAL_NODE_BUDGET = 200_000
 
 
-def _refine_classes(g: Graph) -> list[int]:
-    n = g.n
-    colour = [0] * n
+def _members(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _masks(g: Graph) -> list[int]:
+    return [sum(1 << w for w in a) for a in g.adj]
+
+
+def _refine_classes(adj: Sequence[int]) -> list[int]:
+    """Stable colours of neighbourhood refinement from one colour.  The
+    colours are label-invariant, and their order refines degree order."""
+    nbrs = [_members(a) for a in adj]
+    # the first round from one colour ranks the degrees
+    degree = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
+    colour = [rank[d] for d in degree]
     while True:
-        sigs = [
-            (colour[v], tuple(sorted(colour[w] for w in g.adj[v])))
-            for v in range(n)
-        ]
+        sigs = [(colour[v], tuple(sorted(colour[w] for w in nb)))
+                for v, nb in enumerate(nbrs)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colour:
@@ -243,64 +267,79 @@ def _refine_classes(g: Graph) -> list[int]:
         colour = new
 
 
-def _are_twins(g: Graph, u: int, w: int) -> bool:
-    return g.adj[u] - {w} == g.adj[w] - {u}
+def _canonical_rows(adj: Sequence[int],
+                    colour: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the lexicographically largest relabelling that places the
+    colour classes in colour order, computed exactly.
+
+    Row k holds the edges from the vertex at position k to positions
+    0..k-1, position i at bit n-1-i, so comparing row tuples compares the
+    upper-triangle bit strings column by column, as graph6 orders them.
+    """
+    n = len(adj)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    # position k draws from the class scheduled at k
+    schedule = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    nbrs = [_members(a) for a in adj]
+    row = [0] * n  # each vertex's edges to the placed positions
+    rows: list[int] = []
+    best: list[int] = []
+    nodes = 0
+
+    def search(k: int, used: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > CANONICAL_NODE_BUDGET:
+            raise ValueError(
+                f"canonical labelling of a {n}-vertex graph exceeded "
+                f"{CANONICAL_NODE_BUDGET} search nodes")
+        if k == n:
+            if rows > best:
+                best = rows[:]
+            return
+        # prune against the incumbent as soon as the prefix falls behind
+        if rows < best[:k]:
+            return
+        cands = [v for v in schedule[k] if not used >> v & 1]
+        top = max(row[v] for v in cands)
+        # collapse interchangeable candidates: swapping twins is an
+        # automorphism fixing every placed vertex
+        picks: list[int] = []
+        for v in cands:
+            if row[v] == top and not any(
+                    (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
+                    for w in picks):
+                picks.append(v)
+        rows.append(top)
+        bit = 1 << (n - 1 - k)
+        for v in picks:
+            for u in nbrs[v]:
+                row[u] |= bit
+            search(k + 1, used | 1 << v)
+            for u in nbrs[v]:
+                row[u] ^= bit
+        rows.pop()
+
+    search(0, 0)
+    return tuple(best)
+
+
+def _graph_from_rows(rows: Sequence[int]) -> Graph:
+    n = len(rows)
+    return Graph(n, [(n - 1 - b, k) for k, r in enumerate(rows)
+                     for b in _members(r)])
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabelling of g whose upper-triangle bit string is lexicographically
-    largest among all labellings, computed exactly."""
-    n = g.n
-    if n <= 1:
+    largest among all labellings, computed exactly.  Raises ValueError when
+    the search exceeds CANONICAL_NODE_BUDGET nodes."""
+    if g.n <= 1:
         return g
-    colour = _refine_classes(g)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colour):
-        classes.setdefault(c, []).append(v)
-    # position k draws from the class scheduled at k (classes in colour order)
-    schedule: list[int] = []
-    for c in sorted(classes):
-        schedule.extend([c] * len(classes[c]))
-
-    best_chunks: list[tuple[int, ...]] | None = None
-    best_perm: list[int] | None = None
-
-    def dfs(placed: list[int], used: set[int], chunks: list[tuple[int, ...]]):
-        nonlocal best_chunks, best_perm
-        k = len(placed)
-        if k == n:
-            if best_chunks is None or chunks > best_chunks:
-                best_chunks = list(chunks)
-                best_perm = list(placed)
-            return
-        # prune against the incumbent as soon as the prefix falls behind
-        if best_chunks is not None and chunks < best_chunks[:k]:
-            return
-        cands = [v for v in classes[schedule[k]] if v not in used]
-        scored: dict[tuple[int, ...], list[int]] = {}
-        for v in cands:
-            bits = tuple(1 if p in g.adj[v] else 0 for p in placed)
-            scored.setdefault(bits, []).append(v)
-        top = max(scored)
-        survivors = scored[top]
-        # collapse interchangeable candidates: swapping twins is an automorphism
-        pruned: list[int] = []
-        for v in survivors:
-            if not any(_are_twins(g, v, w) for w in pruned):
-                pruned.append(v)
-        chunks.append(top)
-        for v in pruned:
-            placed.append(v)
-            used.add(v)
-            dfs(placed, used, chunks)
-            used.discard(v)
-            placed.pop()
-        chunks.pop()
-
-    dfs([], set(), [])
-    assert best_perm is not None
-    pos = {v: i for i, v in enumerate(best_perm)}
-    return Graph(n, [(pos[u], pos[v]) for u, v in g.edges])
+    adj = _masks(g)
+    return _graph_from_rows(_canonical_rows(adj, _refine_classes(adj)))
 
 
 def canonical_form(g: Graph) -> str:
@@ -315,20 +354,66 @@ def graphs_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # -- enumeration of minimally rigid graphs --------------------------------
+#
+# Each level is grown from the previous one by 0-extensions (a new vertex x
+# joined to two vertices) and 1-extensions (an edge uv split by x, which is
+# also joined to a third vertex w), and a child is labelled only when x
+# passes an isomorphism-invariant test: deg(x) is the minimum degree, and
+# x's refinement colour is the largest among the minimum-degree vertices.
+# This is the invariant half of McKay's canonical augmentation (1998,
+# J. Algorithms 26), and it loses no class:
+#
+# - A minimally rigid graph G on n >= 3 vertices has minimum degree 2 or
+#   3, and every such vertex can be removed by an inverse Henneberg move:
+#   deleting a degree-2 vertex, or deleting a degree-3 vertex and joining
+#   some non-adjacent pair of its neighbours, leaves a minimally rigid
+#   graph (Laman 1970; Henneberg).
+# - Some vertex y of G passes the test: a minimum-degree vertex of the
+#   largest colour among them.  Removing y by that move leaves a graph
+#   whose class is in the previous level, so some extension of that
+#   level's representative is a copy of G in which x plays y's role.
+#   Colours are label-invariant, so x passes the test in that copy, and
+#   _extensions drops only children that would fail it.
+# - Labelling is exact, so the set of canonical rows still deduplicates the
+#   level, and every level holds the same canonical graphs as unfiltered
+#   growth would.
 
 
-def _extensions(g: Graph) -> Iterable[Graph]:
-    """All single-vertex inductive extensions preserving minimal rigidity."""
-    verts = range(g.n)
-    # degree-2 attachment to any vertex pair
-    for u, v in combinations(verts, 2):
-        yield g.with_vertex((u, v))
-    # edge split: remove uv, attach the new vertex to u, v and a third vertex
-    for u, v in g.edge_list():
-        base = g.without_edge(u, v)
-        for w in verts:
+def _extensions(adj: Sequence[int]) -> Iterator[list[int]]:
+    """Adjacency masks of the extensions of a minimally rigid graph whose
+    new vertex can pass the new-vertex test."""
+    n = len(adj)
+    x = 1 << n
+    for u, v in combinations(range(n), 2):
+        child = list(adj)
+        child[u] |= x
+        child[v] |= x
+        child.append(1 << u | 1 << v)
+        yield child
+    # a 1-extension leaves every degree-2 vertex other than w at degree 2,
+    # below the new vertex's 3, so only w may have degree 2
+    low = [v for v in range(n) if adj[v].bit_count() == 2]
+    if len(low) > 1:
+        return
+    edges = [(u, v) for u in range(n) for v in _members(adj[u]) if u < v]
+    for u, v in edges:
+        for w in low or range(n):
             if w != u and w != v:
-                yield base.with_vertex((u, v, w))
+                child = list(adj)
+                child[u] ^= 1 << v | x
+                child[v] ^= 1 << u | x
+                child[w] |= x
+                child.append(1 << u | 1 << v | 1 << w)
+                yield child
+
+
+def _new_vertex_leads(adj: Sequence[int], colour: Sequence[int]) -> bool:
+    """The new-vertex test: the last vertex has the minimum degree and the
+    largest colour among the minimum-degree vertices."""
+    degree = [a.bit_count() for a in adj]
+    low = min(degree)
+    return degree[-1] == low and colour[-1] == max(
+        c for c, d in zip(colour, degree) if d == low)
 
 
 def minimally_rigid_levels(nmin: int,
@@ -336,16 +421,22 @@ def minimally_rigid_levels(nmin: int,
     """Yield (n, graphs) for nmin <= n <= nmax: one canonically labelled
     graph per class of minimally rigid graphs on n vertices, graph6 sorted.
 
-    Grown once from a single edge by degree-2 additions and edge splits.
-    Canonical graphs are equal exactly when their sources are isomorphic,
-    so a set of them deduplicates each level.  Practical for n <= 9.
+    Grown once from a single edge by degree-2 additions and edge splits,
+    labelling only the children whose new vertex passes the test above.
+    Practical for n <= 9.
     """
     if not 2 <= nmin <= nmax <= 9:
         raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
-    level = {Graph(2, [(0, 1)])}
+    level = [Graph(2, [(0, 1)])]
     for n in range(2, nmax + 1):
         if n > 2:
-            level = {canonical_graph(h) for g in level for h in _extensions(g)}
+            found = set()
+            for g in level:
+                for child in _extensions(_masks(g)):
+                    colour = _refine_classes(child)
+                    if _new_vertex_leads(child, colour):
+                        found.add(_canonical_rows(child, colour))
+            level = [_graph_from_rows(rows) for rows in found]
         if n >= nmin:
             yield n, sorted(level, key=write_graph6)
 

@@ -1,5 +1,6 @@
 """Pebble-game rank, rigidity predicates, canonical labelling, enumeration."""
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from rigidspec import (
     canonical_graph,
     complete_graph,
     complete_split_graph,
+    complete_split_rho,
     cycle_graph,
     enumerate_minimally_rigid,
     graphs_isomorphic,
@@ -27,6 +29,7 @@ from rigidspec import (
     pebble_rank,
     random_placement,
     rigidity_verdict,
+    spectral_radius,
     write_graph6,
 )
 from rigidspec import rigidity
@@ -417,19 +420,98 @@ def test_levels_match_enumeration_per_order():
             list(minimally_rigid_levels(nmin, nmax))
 
 
+def _count_labellings(monkeypatch):
+    """Count canonical labellings: canonical_graph and the enumeration both
+    label through rigidity._canonical_rows."""
+    labelled = rigidity._canonical_rows
+    calls = [0]
+
+    def counting(adj, colour):
+        calls[0] += 1
+        return labelled(adj, colour)
+
+    monkeypatch.setattr(rigidity, "_canonical_rows", counting)
+    return calls
+
+
 def test_laman_sweep_grows_each_level_once(monkeypatch):
-    labelled = rigidity.canonical_graph
-    calls = 0
-
-    def counting(g):
-        nonlocal calls
-        calls += 1
-        return labelled(g)
-
-    monkeypatch.setattr(rigidity, "canonical_graph", counting)
+    calls = _count_labellings(monkeypatch)
     enumerate_minimally_rigid(7)
-    alone, calls = calls, 0
+    alone, calls[0] = calls[0], 0
+    assert alone > 0
     rep = laman_extremal_report(3, 7)
-    assert calls == alone
+    assert calls[0] == alone
     assert rep["rows"] == [laman_extremal_report(n, n)["rows"][0]
                            for n in range(3, 8)]
+
+
+def test_laman_sweep_labels_few_children(monkeypatch):
+    # unfiltered growth labels all 6 099 children of the levels below 8
+    calls = _count_labellings(monkeypatch)
+    assert laman_extremal_report(3, 8)["ok"]
+    assert 0 < calls[0] <= 1200
+
+
+def _all_extensions(g):
+    for u, v in combinations(range(g.n), 2):
+        yield g.with_vertex((u, v))
+    for u, v in g.edge_list():
+        base = g.without_edge(u, v)
+        for w in range(g.n):
+            if w != u and w != v:
+                yield base.with_vertex((u, v, w))
+
+
+def test_levels_match_unfiltered_growth():
+    # reference: label every 0- and 1-extension, with no new-vertex test
+    level = {Graph(2, [(0, 1)])}
+    expected = {}
+    for n in range(3, 9):
+        level = {canonical_graph(h) for g in level for h in _all_extensions(g)}
+        expected[n] = sorted(map(write_graph6, level))
+    got = {n: [write_graph6(g) for g in graphs]
+           for n, graphs in minimally_rigid_levels(3, 8)}
+    assert got == expected
+
+
+def _delete_vertex(g, y):
+    return Graph(g.n - 1, [(u - (u > y), v - (v > y))
+                           for u, v in g.edges if y not in (u, v)])
+
+
+def test_every_degree_2_or_3_vertex_is_removable():
+    # the new-vertex test is sound only if each minimum-degree vertex of a
+    # class undoes some 0- or 1-extension
+    for n in range(3, 9):
+        for g in enumerate_minimally_rigid(n):
+            degrees = g.degrees()
+            assert min(degrees) in (2, 3)
+            for y, d in enumerate(degrees):
+                if d == 2:
+                    assert laman_check(_delete_vertex(g, y))
+                elif d == 3:
+                    assert any(
+                        laman_check(_delete_vertex(g.with_edge(a, b), y))
+                        for a, b in combinations(sorted(g.adj[y]), 2)
+                        if not g.has_edge(a, b))
+
+
+def test_enumeration_n9_count_and_radius_maximiser():
+    # OEIS A227117 counts the classes; the hub pair is the unique maximiser
+    graphs = enumerate_minimally_rigid(9)
+    assert len(graphs) == 7222
+    rhos = [spectral_radius(g) for g in graphs]
+    best = max(range(len(graphs)), key=rhos.__getitem__)
+    assert graphs[best] == canonical_graph(complete_split_graph(9))
+    assert abs(rhos[best] - complete_split_rho(9)) <= 1e-9
+    assert sum(r > rhos[best] - 1e-9 for r in rhos) == 1
+
+
+def test_canonical_labelling_budget_stops_hypercube():
+    # refinement cannot split the 6-cube, whose search would take minutes
+    q6 = Graph(64, [(v, v ^ 1 << i) for v in range(64) for i in range(6)
+                    if v < v ^ 1 << i])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="search nodes"):
+        canonical_form(q6)
+    assert time.perf_counter() - start < 60
