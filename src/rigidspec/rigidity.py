@@ -249,22 +249,32 @@ def _masks(g: Graph) -> list[int]:
     return [sum(1 << w for w in a) for a in g.adj]
 
 
-def _refine_classes(adj: Sequence[int]) -> list[int]:
-    """Stable colours of neighbourhood refinement from one colour.  The
-    colours are label-invariant, and their order refines degree order."""
+def _refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
+    """Colours of each round of neighbourhood refinement from one colour,
+    ending with the stable colours.  A round's signature leads with the
+    previous colour, so each round's colour order refines the previous
+    round's: colour[u] < colour[v] stays strict in every later round."""
     nbrs = [_members(a) for a in adj]
     # the first round from one colour ranks the degrees
     degree = [len(nb) for nb in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degree)))}
     colour = [rank[d] for d in degree]
     while True:
+        yield colour
         sigs = [(colour[v], tuple(sorted(colour[w] for w in nb)))
                 for v, nb in enumerate(nbrs)]
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colour:
-            return colour
+            return
         colour = new
+
+
+def _refine_classes(adj: Sequence[int]) -> list[int]:
+    """Stable colours of neighbourhood refinement from one colour.  The
+    colours are label-invariant, and their order refines degree order."""
+    *_, colour = _refinement_rounds(adj)
+    return colour
 
 
 def _canonical_rows(adj: Sequence[int],
@@ -407,13 +417,23 @@ def _extensions(adj: Sequence[int]) -> Iterator[list[int]]:
                 yield child
 
 
-def _new_vertex_leads(adj: Sequence[int], colour: Sequence[int]) -> bool:
-    """The new-vertex test: the last vertex has the minimum degree and the
-    largest colour among the minimum-degree vertices."""
+def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
+    """The stable colours when the new vertex passes the new-vertex test
+    (the last vertex has the minimum degree and the largest colour among
+    the minimum-degree vertices), else None.
+
+    Refinement stops at the first round in which a minimum-degree vertex
+    outranks the new vertex: each round's colour order refines the
+    previous round's, so that vertex stays ahead."""
     degree = [a.bit_count() for a in adj]
     low = min(degree)
-    return degree[-1] == low and colour[-1] == max(
-        c for c, d in zip(colour, degree) if d == low)
+    if degree[-1] != low:
+        return None
+    rivals = [v for v, d in enumerate(degree) if d == low]
+    for colour in _refinement_rounds(adj):
+        if colour[-1] < max(colour[v] for v in rivals):
+            return None
+    return colour
 
 
 def minimally_rigid_levels(nmin: int,
@@ -433,8 +453,8 @@ def minimally_rigid_levels(nmin: int,
             found = set()
             for g in level:
                 for child in _extensions(_masks(g)):
-                    colour = _refine_classes(child)
-                    if _new_vertex_leads(child, colour):
+                    colour = _leading_colours(child)
+                    if colour is not None:
                         found.add(_canonical_rows(child, colour))
             level = [_graph_from_rows(rows) for rows in found]
         if n >= nmin:

@@ -10,9 +10,10 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .graphcore import (
     Graph,
@@ -282,6 +283,10 @@ def analyze_lines(
     if workers <= 1:
         results = list(map(_analyze_payload, payloads))
     else:
+        # imported here: loading the process pool would slow the start-up
+        # of every serial run
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (4 * workers))
         # the fork start method launches every worker before any work
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -335,7 +340,12 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
 
 def family_sweep_report(links: int, amin: int, amax: int, nmax: int) -> dict:
     """Sweep the two-clique family: closed-form radius vs eigensolver, and
-    strict decrease in the small-clique size at fixed order."""
+    strict decrease in the small-clique size at fixed order.
+
+    linked_cliques(n, a, links) is the subgraph of linked_cliques(nmax, a,
+    links) induced on 0..n-1 (small clique first, then the large one, links
+    (j, a + j)), so each clique size builds one adjacency matrix and every
+    cell eigensolves its leading n x n block."""
     if links < 2:
         raise ValueError(f"links must be >= 2, got {links}")
     if amin < links + 1:
@@ -347,10 +357,12 @@ def family_sweep_report(links: int, amin: int, amax: int, nmax: int) -> dict:
     rho = {}
     max_dev = 0.0
     cells = 0
-    for a in range(amin, amax + 1):
+    # a clique size whose first order 2a + 2 exceeds nmax has no cells
+    for a in range(amin, min(amax, nmax // 2 - 1) + 1):
+        adj = linked_cliques(nmax, a, links).adjacency_matrix()
         for n in range(2 * a + 2, nmax + 1):
             r = linked_cliques_rho(n, a, links)
-            e = spectral_radius(linked_cliques(n, a, links))
+            e = float(np.linalg.eigvalsh(adj[:n, :n])[-1])
             rho[(a, n)] = r
             max_dev = max(max_dev, abs(r - e))
             cells += 1

@@ -1,5 +1,5 @@
-"""Property tests: graph6 round trip, and connectivity and reports invariant
-under vertex relabelling."""
+"""Property tests: graph6 round trip, connectivity and reports invariant
+under vertex relabelling, and pebble rank against numeric rank."""
 import random
 
 import pytest
@@ -12,7 +12,10 @@ from rigidspec import (  # noqa: E402
     analyze_graph,
     complete_graph,
     json_stable,
+    numeric_rank,
     parse_graph6,
+    pebble_rank,
+    random_placement,
     vertex_connectivity,
     write_graph6,
 )
@@ -75,3 +78,11 @@ def test_report_invariant_under_relabelling(pair):
         if key != "graph6" and x is not None:
             assert abs(x - y) <= REPORT_TOL * max(1.0, abs(x)), key
     assert json_stable(a) == json_stable(b)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(graphs(0, 10), st.integers(0, 2**32 - 1))
+def test_pebble_rank_matches_numeric_rank(g, seed):
+    """The pebble game's rank is the rigidity matrix's rank at a random,
+    hence generic, placement."""
+    assert pebble_rank(g) == numeric_rank(g, random_placement(g.n, seed))

@@ -1,7 +1,7 @@
 """Pebble-game rank, rigidity predicates, canonical labelling, enumeration."""
 import random
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -450,6 +450,40 @@ def test_laman_sweep_labels_few_children(monkeypatch):
     calls = _count_labellings(monkeypatch)
     assert laman_extremal_report(3, 8)["ok"]
     assert 0 < calls[0] <= 1200
+
+
+def _assert_rounds_refine(adj):
+    rounds = list(rigidity._refinement_rounds(adj))
+    assert rounds[-1] == rigidity._refine_classes(adj)
+    for before, after in zip(rounds, rounds[1:]):
+        for u, v in permutations(range(len(adj)), 2):
+            if before[u] < before[v]:
+                assert after[u] < after[v]
+
+
+def test_each_refinement_round_refines_the_last():
+    # early rejection rests on this: a vertex behind x stays behind
+    for _, graphs in minimally_rigid_levels(2, 8):
+        for g in graphs:
+            _assert_rounds_refine(rigidity._masks(g))
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 20), rng.random())
+        _assert_rounds_refine(rigidity._masks(g))
+
+
+def test_early_rejection_matches_stable_colour_test():
+    # reference: refine to the stable colours, then test the new vertex
+    for _, graphs in minimally_rigid_levels(2, 7):
+        for g in graphs:
+            for child in rigidity._extensions(rigidity._masks(g)):
+                colour = rigidity._refine_classes(child)
+                degree = [a.bit_count() for a in child]
+                low = min(degree)
+                leads = degree[-1] == low and colour[-1] == max(
+                    c for c, d in zip(colour, degree) if d == low)
+                assert rigidity._leading_colours(child) == (
+                    colour if leads else None)
 
 
 def _all_extensions(g):

@@ -4,9 +4,14 @@ import csv
 import itertools
 import io
 import json
+import math
 import multiprocessing
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from rigidspec import (
@@ -30,8 +35,10 @@ from rigidspec import (
     spectral_radius,
     write_graph6,
 )
+import rigidspec
 from rigidspec.cli import _build_parser, main as cli_main
 from rigidspec.rigidity import canonical_form
+from rigidspec.spectral import linked_cliques_rho
 from rigidspec.verify import (
     CSV_COLUMNS,
     REPORT_KEYS,
@@ -254,12 +261,20 @@ def test_analyze_lines_pool_capped_at_line_count(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("rigidspec.verify.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     lines = ["Bw\n", "\n", "Cw\n", "C~\n"]
     reports, errors = analyze_lines(lines, jobs=64)
     assert sizes == [3] and len(reports) == 3 and errors == []
     reports, _ = analyze_lines(lines[:2], jobs=64)  # one graph: no pool
     assert sizes == [3] and len(reports) == 1
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, rigidspec.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_laman_extremal_report_ok():
@@ -297,6 +312,67 @@ def test_family_sweep_report_ok():
         family_sweep_report(2, 2, 6, 26)
     with pytest.raises(ValueError):
         family_sweep_report(2, 3, 2, 26)
+
+
+def _family_sweep_per_cell(links, amin, amax, nmax):
+    """family_sweep_report as a graph built and eigensolved per cell."""
+    rho = {}
+    max_dev = 0.0
+    cells = 0
+    for a in range(amin, amax + 1):
+        for n in range(2 * a + 2, nmax + 1):
+            r = linked_cliques_rho(n, a, links)
+            e = spectral_radius(linked_cliques(n, a, links))
+            rho[(a, n)] = r
+            max_dev = max(max_dev, abs(r - e))
+            cells += 1
+    min_margin = math.inf
+    pairs = 0
+    for (a, n), r in rho.items():
+        nxt = rho.get((a + 1, n))
+        if nxt is not None:
+            min_margin = min(min_margin, r - nxt)
+            pairs += 1
+    agreement_ok = max_dev <= 1e-8
+    monotone_ok = pairs > 0 and min_margin > 1e-9
+    return {
+        "job": "family-sweep",
+        "links": links,
+        "amin": amin,
+        "amax": amax,
+        "nmax": nmax,
+        "cells": cells,
+        "max_closed_form_deviation": max_dev,
+        "comparable_pairs": pairs,
+        "min_decrease_margin": (None if math.isinf(min_margin) else min_margin),
+        "agreement_ok": agreement_ok,
+        "monotone_ok": monotone_ok,
+        "ok": agreement_ok and monotone_ok,
+    }
+
+
+@pytest.mark.parametrize("links", [2, 3, 4])
+def test_family_member_is_leading_block_of_largest(links):
+    # the README grid, whose clique sizes start at 3, shifted up to the
+    # smallest size that takes `links` links
+    nmax = 60
+    for a in range(links + 1, 13):
+        big = linked_cliques(nmax, a, links).adjacency_matrix()
+        for n in range(2 * a + 2, nmax + 1):
+            assert np.array_equal(
+                big[:n, :n], linked_cliques(n, a, links).adjacency_matrix())
+
+
+@pytest.mark.parametrize("grid", [
+    (2, 3, 6, 26),
+    (2, 3, 12, 40),
+    (3, 4, 8, 30),
+    (4, 5, 9, 28),
+    (2, 5, 40, 17),  # clique sizes past nmax / 2 - 1 have no cells
+])
+def test_family_sweep_matches_per_cell_graphs(grid):
+    assert (json_stable(family_sweep_report(*grid))
+            == json_stable(_family_sweep_per_cell(*grid)))
 
 
 def test_extremal_family_report_ok():
