@@ -6,8 +6,9 @@ after construction so they can be shared freely across worker processes.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from itertools import combinations
-from typing import AnyStr, Iterable, Iterator, Sequence
+from typing import AnyStr, Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -389,15 +390,20 @@ def partition_cut(g: Graph, vp: VertexPartition) -> int:
 
 # -- vertex connectivity --------------------------------------------------
 #
-# Unit-capacity max flow on the split digraph (v_in -> v_out, capacity 1)
-# gives the size of a minimum vertex cut between non-adjacent terminals.
+# The size of a minimum vertex cut between non-adjacent terminals is the
+# maximum number of internally disjoint paths joining them (Menger).
 # Minimising over a standard pair family yields kappa(G).
 
 SplitNetwork = tuple[list[int], list[int], list[list[int]], dict[Edge, int]]
 
 
+def _adjacency_masks(g: Graph) -> list[int]:
+    """masks[v] has bit w set for every neighbour w of v."""
+    return [sum(1 << w for w in a) for a in g.adj]
+
+
 def _split_network(g: Graph) -> SplitNetwork:
-    """The split digraph of g as flat int arrays, built once per graph.
+    """The split digraph of g as flat int arrays, built at most once per graph.
 
     Node 2v is v's in-copy and 2v+1 its out-copy.  Arc 2v is v_in -> v_out;
     every edge uv adds u_out -> v_in and v_out -> u_in.  Arc i and its
@@ -427,24 +433,87 @@ def _split_network(g: Graph) -> SplitNetwork:
     return heads, caps, out, arc
 
 
-def _flow(net: SplitNetwork, g: Graph, s: int, t: int, limit: int) -> int:
+def _seed_paths(masks: list[int], s: int, t: int, limit: int) -> list[list[int]]:
+    """Up to `limit` internally disjoint s-t paths, s and t non-adjacent.
+
+    Each round runs a layered BFS from s over the adjacency bitmasks,
+    skipping vertices that earlier paths use, and stops at the first layer
+    that touches N(t).  Every vertex of that layer adjacent to t then
+    walks back one layer at a time through unused vertices; each walk
+    that reaches s is a shortest path in what is left of g, and its inner
+    vertices become used.  The first layer takes every common neighbour
+    of s and t at once, the next one the paths of length 3, and so on.
+    Seeding stops when the BFS no longer reaches N(t).
+    """
+    free = ((1 << len(masks)) - 1) & ~(1 << s) & ~(1 << t)
+    near_t = masks[t]
+    paths: list[list[int]] = []
+    while len(paths) < limit:
+        layers = []
+        frontier = masks[s] & free
+        unseen = free ^ frontier
+        while frontier and not frontier & near_t:
+            layers.append(frontier)
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & unseen
+            unseen ^= frontier
+        hits = frontier & near_t
+        if not hits:
+            break
+        layers.reverse()
+        while hits and len(paths) < limit:
+            used = hits & -hits
+            hits ^= used
+            x = used.bit_length() - 1
+            path = [t, x]
+            for layer in layers:
+                back = masks[x] & layer & free
+                if not back:
+                    break
+                low = back & -back
+                used |= low
+                x = low.bit_length() - 1
+                path.append(x)
+            else:
+                free ^= used
+                path.append(s)
+                path.reverse()
+                paths.append(path)
+    return paths
+
+
+def _flow(
+    masks: list[int],
+    network: Callable[[], SplitNetwork],
+    s: int,
+    t: int,
+    limit: int,
+) -> int:
     """min(limit, number of internally disjoint s-t paths); s, t non-adjacent.
 
-    One path s -> w -> t through each common neighbour w is pushed first:
-    these paths share no inner vertex, so they are a valid flow found
-    without search.  BFS augmentation (source out(s), sink in(t)) then
-    stops as soon as the flow reaches `limit`.
+    The seeded paths are a valid flow found without the split network.
+    Only when seeding stops below `limit` does `network()` supply the split
+    digraph: the paths are loaded into a copy of its capacities and BFS
+    over the residual arcs (source out(s), sink in(t)) augments until the
+    flow reaches `limit` or the sink is out of reach.  Augmenting any valid
+    flow to the maximum is exact, so the seeding changes no result.
     """
-    heads, base, out, arc = net
+    paths = _seed_paths(masks, s, t, limit)
+    flow = len(paths)
+    if flow >= limit:
+        return flow
+    heads, base, out, arc = network()
     cap = base[:]
-    flow = 0
-    for w in g.adj[s] & g.adj[t]:
-        if flow >= limit:
-            return flow
-        for i in (arc[s, w], 2 * w, arc[w, t]):
+    for path in paths:
+        used = [arc[a, b] for a, b in zip(path, path[1:])]
+        used += [2 * w for w in path[1:-1]]
+        for i in used:
             cap[i] = 0
             cap[i ^ 1] = 1
-        flow += 1
     src, snk = 2 * s + 1, 2 * t
     while flow < limit:
         parent = [-1] * len(out)  # arc by which BFS reached each node
@@ -479,7 +548,10 @@ def _connectivity(g: Graph, limit: int) -> int:
     any minimum cut misses some vertex of N[u0] or separates two
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
     degree, the running best starts at min(delta, limit), since kappa <=
-    delta off the complete graph, and caps every later flow.
+    delta off the complete graph, and caps every later flow.  The
+    adjacency bitmasks are built once per graph for seeding; the split
+    network is built on the first pair whose seeding stalls below the
+    running best, and never when no pair does.
     """
     n = g.n
     if g.is_complete():
@@ -488,14 +560,15 @@ def _connectivity(g: Graph, limit: int) -> int:
         return 0
     u0 = min(range(n), key=g.degree)
     best = min(g.degree(u0), limit)
-    net = _split_network(g)
+    masks = _adjacency_masks(g)
+    network = cache(lambda: _split_network(g))
     closed = g.adj[u0] | {u0}
     for v in range(n):
         if v not in closed:
-            best = _flow(net, g, u0, v, best)
+            best = _flow(masks, network, u0, v, best)
     for x, y in combinations(sorted(g.adj[u0]), 2):
         if y not in g.adj[x]:
-            best = _flow(net, g, x, y, best)
+            best = _flow(masks, network, x, y, best)
     return best
 
 

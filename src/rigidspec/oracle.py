@@ -9,7 +9,7 @@ tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,12 +54,15 @@ def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:
     p(u) - p(v) in u's coordinate block and the negation in v's."""
     if pl.n != g.n:
         raise ValueError(f"placement has {pl.n} points for n={g.n}")
-    mat = np.zeros((g.m, 2 * g.n))
-    for r, (u, v) in enumerate(g.edge_list()):
-        d = pl.coords[u] - pl.coords[v]
-        mat[r, 2 * u: 2 * u + 2] = d
-        mat[r, 2 * v: 2 * v + 2] = -d
-    return mat
+    ends = np.fromiter(chain.from_iterable(g.edge_list()), dtype=np.intp,
+                       count=2 * g.m)
+    u, v = ends[0::2], ends[1::2]
+    d = pl.coords[u] - pl.coords[v]
+    rows = np.arange(g.m)
+    mat = np.zeros((g.m, g.n, 2))  # row r, vertex w, coordinate
+    mat[rows, u] = d
+    mat[rows, v] = -d
+    return mat.reshape(g.m, 2 * g.n)
 
 
 def trivial_motion_space(pl: Placement) -> np.ndarray:

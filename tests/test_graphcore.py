@@ -1,6 +1,7 @@
 """Graph construction, cut counting, and vertex connectivity."""
 import random
 from collections import deque
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,8 @@ from rigidspec import (
     partition_cut,
     vertex_connectivity,
 )
-from rigidspec.graphcore import _flow, _split_network
+from rigidspec import graphcore
+from rigidspec.graphcore import _adjacency_masks, _flow, _seed_paths
 from conftest import (
     all_labeled_graphs,
     henneberg_graph,
@@ -243,26 +245,117 @@ def _local_connectivity_by_definition(g, s, t):
         flow += 1
 
 
-def test_pair_flow_matches_definition():
-    """The seeded, capped flow on the shared split network against the
-    per-pair dict network, for every non-adjacent pair of each graph."""
+# Greedy seeding takes 0-1-3-4 and then stalls at one path, while the
+# local connectivity of (0, 4) is 2 (0-2-7-3-1-5-6-4 after rerouting):
+# only the residual step finds the second path.
+TRAP = Graph(8, [(0, 1), (0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (6, 4),
+                 (2, 7), (7, 3)])
+
+
+def _bouquet(branches):
+    """Terminals 0 and 1 joined only through the cut vertex 2, by the
+    branches 0 - x - 2 - y - 1: every path must reuse 2 after the first."""
+    edges = []
+    for i in range(branches):
+        x, y = 3 + 2 * i, 4 + 2 * i
+        edges += [(0, x), (x, 2), (2, y), (y, 1)]
+    return Graph(3 + 2 * branches, edges)
+
+
+def _count_network_builds(monkeypatch):
+    """The graphs for which a split network is built from now on."""
+    builds = []
+    build = graphcore._split_network
+
+    def counting(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(graphcore, "_split_network", counting)
+    return builds
+
+
+def test_pair_flow_matches_definition(monkeypatch):
+    """The seeded, capped flow against the per-pair dict network: every
+    non-adjacent pair of small graphs, 30 sampled pairs of dense ones with
+    30 <= n <= 60, the trap graph and a bouquet."""
     rng = random.Random(2024)
+    builds = _count_network_builds(monkeypatch)
+
+    def corpus():
+        # drawn lazily: each graph's caps come from rng before the next graph
+        for k in range(60):
+            n = rng.randint(8, 25)
+            p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
+            g = random_graph(rng, n, p)
+            yield g, [e for e in combinations(range(n), 2)
+                      if not g.has_edge(*e)]
+        for _ in range(8):
+            g = random_graph(rng, rng.randint(30, 60), rng.uniform(0.5, 0.9))
+            missing = [e for e in combinations(range(g.n), 2)
+                       if not g.has_edge(*e)]
+            yield g, rng.sample(missing, 30)
+        for g in (TRAP, _bouquet(4)):
+            yield g, [e for e in combinations(range(g.n), 2)
+                      if not g.has_edge(*e)]
+
     pairs = 0
-    for k in range(60):
-        n = rng.randint(8, 25)
-        p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
-        g = random_graph(rng, n, p)
-        net = _split_network(g)
-        for s, t in combinations(range(n), 2):
-            if g.has_edge(s, t):
-                continue
+    for g, sample in corpus():
+        if g is TRAP:
+            assert builds, "no random pair needed the residual step"
+        masks = _adjacency_masks(g)
+        network = partial(graphcore._split_network, g)
+        for s, t in sample:
             expect = _local_connectivity_by_definition(g, s, t)
-            assert _flow(net, g, s, t, g.n) == expect, (g.edges, s, t)
-            assert _flow(net, g, t, s, g.n) == expect, (g.edges, t, s)
+            assert _flow(masks, network, s, t, g.n) == expect, (g.edges, s, t)
+            assert _flow(masks, network, t, s, g.n) == expect, (g.edges, t, s)
             cap = rng.randint(0, expect + 1)
-            assert _flow(net, g, s, t, cap) == min(cap, expect)
+            assert _flow(masks, network, s, t, cap) == min(cap, expect)
+            assert _flow(masks, network, t, s, cap) == min(cap, expect)
             pairs += 1
-    assert pairs > 1000
+    assert pairs > 1200
+    for g, s, t, expect in ((TRAP, 0, 4, 2), (_bouquet(4), 0, 1, 1)):
+        masks = _adjacency_masks(g)
+        assert len(_seed_paths(masks, s, t, g.n)) == 1
+        builds.clear()
+        network = partial(graphcore._split_network, g)
+        assert _flow(masks, network, s, t, g.n) == expect
+        assert builds == [g]
+
+
+def _check_seeded_paths(g, s, t, paths):
+    """Each path joins s to t along edges of g; no inner vertex is shared."""
+    inner = set()
+    for path in paths:
+        assert path[0] == s and path[-1] == t, path
+        assert all(g.has_edge(a, b) for a, b in zip(path, path[1:])), path
+        assert len(set(path)) == len(path), path
+        assert not inner & set(path[1:-1]), path
+        inner |= set(path[1:-1])
+
+
+def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
+    """Seeded paths are disjoint s-t paths of g for every non-adjacent
+    pair; kappa matches networkx at n = 60-80 and, on G(150, 0.6), a value
+    cross-checked once with networkx, built without the split network."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6080)
+    graphs = [random_graph(rng, rng.randint(60, 80), rng.uniform(0.3, 0.8))
+              for _ in range(3)]
+    big = random_graph(random.Random(150), 150, 0.6)
+    for g in graphs + [big]:
+        masks = _adjacency_masks(g)
+        for s, t in combinations(range(g.n), 2):
+            if not g.has_edge(s, t):
+                _check_seeded_paths(g, s, t, _seed_paths(masks, s, t, g.n))
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges
+    builds = _count_network_builds(monkeypatch)
+    assert vertex_connectivity(big) == 73
+    assert builds == []
 
 
 def _relabelled(rng, g):

@@ -55,6 +55,26 @@ def test_rigidity_matrix_single_edge():
         rigidity_matrix(complete_graph(3), pl)
 
 
+def _rigidity_matrix_by_rows(g, pl):
+    """The rigidity matrix filled one edge row at a time."""
+    mat = np.zeros((g.m, 2 * g.n))
+    for r, (u, v) in enumerate(g.edge_list()):
+        d = pl.coords[u] - pl.coords[v]
+        mat[r, 2 * u: 2 * u + 2] = d
+        mat[r, 2 * v: 2 * v + 2] = -d
+    return mat
+
+
+def test_rigidity_matrix_matches_row_loop(connected_labeled_upto6,
+                                          random_corpus_1000):
+    """Bitwise equal to the row-by-row fill on criterion 1's graphs."""
+    for k, g in enumerate(connected_labeled_upto6 + random_corpus_1000):
+        pl = random_placement(g.n, k)
+        mat, ref = rigidity_matrix(g, pl), _rigidity_matrix_by_rows(g, pl)
+        assert mat.shape == ref.shape, g.edges
+        assert mat.tobytes() == ref.tobytes(), g.edges
+
+
 def test_trivial_motions_are_annihilated():
     rng = random.Random(101)
     for _ in range(30):
