@@ -1,0 +1,79 @@
+#!/usr/bin/env bash
+# Run two rigidspec source trees on the same inputs and compare stdout and
+# exit codes byte for byte.
+#
+#   scripts/compare_outputs.sh BASE_SRC HEAD_SRC
+#
+# BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
+# sweeps at their README defaults (JSON, and CSV where the subcommand has
+# --format) and `analyze` on the benchmark's seeded corpora
+# (perfbench/corpora.py, seeds 1-2, JSON and CSV, --jobs 1 and 2).
+# Prints one line per run and exits 1 when any run differs.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 BASE_SRC HEAD_SRC" >&2
+    exit 2
+fi
+base=$(cd "$1" && pwd)
+head=$(cd "$2" && pwd)
+repo=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+for src in "$base" "$head"; do
+    where=$(PYTHONPATH="$src" python3 -c \
+        'import rigidspec; print(rigidspec.__file__)')
+    case "$where" in
+        "$src"/*) ;;
+        *) echo "rigidspec imported from $where, not $src" >&2; exit 2 ;;
+    esac
+done
+
+runs=(
+    "laman-extremal --nmin 3 --nmax 8"
+    "laman-extremal --nmin 3 --nmax 8 --format csv"
+    "family-sweep --links 2 --clique-min 3 --clique-max 12 --nmax 60"
+    "extremal --delta 6 --nmax 26"
+    "extremal --delta 6 --nmax 26 --format csv"
+)
+for name in corpus-small corpus-dense corpus-sparse; do
+    for seed in 1 2; do
+        corpus="$work/$name-$seed.g6"
+        python3 - "$repo/perfbench" "$name" "$seed" > "$corpus" <<'EOF'
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import corpora
+
+items = corpora.CORPORA[sys.argv[2]](int(sys.argv[3]))
+sys.stdout.write(corpora.corpus_text(items))
+EOF
+        for jobs in 1 2; do
+            runs+=("analyze $corpus --jobs $jobs"
+                   "analyze $corpus --jobs $jobs --format csv")
+        done
+    done
+done
+
+differ=0
+for k in "${!runs[@]}"; do
+    read -r -a args <<< "${runs[$k]}"
+    for side in base head; do
+        src=$base
+        [ "$side" = head ] && src=$head
+        code=0
+        env -u RIGIDSPEC_SEED PYTHONPATH="$src" \
+            python3 -m rigidspec.cli "${args[@]}" \
+            > "$work/$k.$side.out" 2> /dev/null || code=$?
+        echo "$code" > "$work/$k.$side.code"
+    done
+    if cmp -s "$work/$k.base.out" "$work/$k.head.out" \
+            && cmp -s "$work/$k.base.code" "$work/$k.head.code"; then
+        echo "same    (exit $(cat "$work/$k.head.code")) ${runs[$k]//"$work/"/}"
+    else
+        echo "DIFFERS ${runs[$k]//"$work/"/}"
+        differ=1
+    fi
+done
+exit "$differ"

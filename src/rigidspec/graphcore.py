@@ -56,9 +56,6 @@ class Graph:
         """Edges as sorted pairs in lexicographic order (deterministic)."""
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u] if 0 <= u < self.n and 0 <= v < self.n else False
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -292,7 +289,7 @@ def iter_graph6_lines(
             yield i, s
 
 
-# -- cut and induced-subgraph counting ------------------------------------
+# -- vertex partitions and cuts -------------------------------------------
 
 
 def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
@@ -301,23 +298,6 @@ def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     return fs
-
-
-def boundary_size(g: Graph, subset: Iterable[int]) -> int:
-    """Number of edges with exactly one endpoint in `subset`.
-
-    Requires a nonempty proper subset of the vertex set.
-    """
-    fs = _check_subset(g, subset)
-    if not fs or len(fs) == g.n:
-        raise ValueError("subset must be nonempty and proper")
-    return sum(1 for u, v in g.edges if (u in fs) != (v in fs))
-
-
-def induced_edge_count(g: Graph, subset: Iterable[int]) -> int:
-    """Number of edges with both endpoints in `subset` (0 for empty subsets)."""
-    fs = _check_subset(g, subset)
-    return sum(1 for u, v in g.edges if u in fs and v in fs)
 
 
 class VertexPartition:

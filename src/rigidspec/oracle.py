@@ -1,6 +1,6 @@
-"""Independent verification oracles: numeric rigidity-matrix rank over
-random placements, exponential-time sparsity counting, and exhaustive or
-structured searches for packing-inequality and cut-size witnesses.
+"""Independent verification routes: numeric rigidity-matrix rank over
+random placements, and a structured search for packing-inequality
+witnesses.
 
 Everything here deliberately avoids the pebble game and the closed-form
 spectral code so that agreement between the two routes is evidence, not
@@ -8,13 +8,13 @@ tautology.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphcore import Graph, VertexPartition, boundary_size, partition_cut
+from .graphcore import Graph, VertexPartition, partition_cut
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -65,18 +65,6 @@ def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:
     return mat.reshape(g.m, 2 * g.n)
 
 
-def trivial_motion_space(pl: Placement) -> np.ndarray:
-    """2n x 3 basis of the always-flexible motions: two translations and
-    the rotation (x, y) -> (-y, x)."""
-    n = pl.n
-    basis = np.zeros((2 * n, 3))
-    basis[0::2, 0] = 1.0
-    basis[1::2, 1] = 1.0
-    basis[0::2, 2] = -pl.coords[:, 1]
-    basis[1::2, 2] = pl.coords[:, 0]
-    return basis
-
-
 def numeric_rank(g: Graph, pl: Placement) -> int:
     """Singular-value rank of the rigidity matrix, with threshold
     DEFAULT_RANK_TOL relative to the largest singular value."""
@@ -86,84 +74,6 @@ def numeric_rank(g: Graph, pl: Placement) -> int:
     if svals[0] == 0.0:
         return 0
     return int(np.sum(svals > DEFAULT_RANK_TOL * svals[0]))
-
-
-# -- exponential-time sparsity oracles ------------------------------------
-
-
-def brute_minimally_rigid(g: Graph) -> bool:
-    """Definition-level check: 2n-3 edges and every vertex subset X with
-    |X| >= 2 spans at most 2|X| - 3 edges.  Exponential in n."""
-    n = g.n
-    if n < 2:
-        raise ValueError("need at least 2 vertices")
-    if n > 10:
-        raise ValueError(f"exhaustive check capped at n=10, got n={n}")
-    if g.m != 2 * n - 3:
-        return False
-    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
-    for x in range(1 << n):
-        size = x.bit_count()
-        if size < 2:
-            continue
-        inside = sum(1 for em in emasks if em & x == em)
-        if inside > 2 * size - 3:
-            return False
-    return True
-
-
-def brute_sparse_rank(g: Graph) -> int:
-    """Greedy matroid rank with the independence oracle evaluated by
-    explicit subset counting: an edge is accepted when no vertex subset
-    would exceed its 2|X| - 3 budget.  Exponential in n."""
-    n = g.n
-    if n > 14:
-        raise ValueError(f"exhaustive rank capped at n=14, got n={n}")
-    if n < 2 or g.m == 0:
-        return 0
-    universe = np.arange(1 << n, dtype=np.int64)
-    sizes = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        sizes += (universe >> b) & 1
-    limits = 2 * sizes - 3
-    counts = np.zeros(1 << n, dtype=np.int64)
-    rank = 0
-    for u, v in g.edge_list():
-        base = (1 << u) | (1 << v)
-        idx = np.nonzero((universe & base) == base)[0]
-        if np.all(counts[idx] < limits[idx]):
-            counts[idx] += 1
-            rank += 1
-    return rank
-
-
-# -- set partitions -------------------------------------------------------
-
-
-def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
-    """All partitions of `items` via restricted growth strings."""
-    items = list(items)
-    k = len(items)
-    if k == 0:
-        yield []
-        return
-    rgs = [0] * k
-    while True:
-        blocks: dict[int, list[int]] = {}
-        for pos, b in enumerate(rgs):
-            blocks.setdefault(b, []).append(items[pos])
-        yield [blocks[b] for b in sorted(blocks)]
-        # advance: rightmost position that can still grow
-        j = k - 1
-        while j > 0:
-            if rgs[j] <= max(rgs[:j]):
-                break
-            j -= 1
-        if j == 0:
-            return
-        rgs[j] += 1
-        for t in range(j + 1, k):
-            rgs[t] = 0
 
 
 # -- packing inequality ---------------------------------------------------
@@ -216,32 +126,22 @@ def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list
 
 
 def packing_violation_search(
-    g: Graph, k: int, zmax: int = 2, *, mode: str
+    g: Graph, k: int, zmax: int = 2
 ) -> Optional[VertexPartition]:
     """First (Z, partition) violating the packing inequality, or None.
 
-    mode 'exhaustive' sweeps every Z up to zmax and every partition of the
-    rest (n <= 10 only); 'structured' tries a deterministic family of
-    candidate partitions (singletons, components, closed neighbourhoods,
-    greedy cliques) and scales to larger graphs.
+    Tries every Z up to zmax with a deterministic family of candidate
+    partitions of the rest (singletons, components, closed neighbourhoods,
+    greedy cliques), so it scales to larger graphs but can miss a witness.
     """
     if zmax < 0 or zmax > 2:
         raise ValueError(f"zmax must be in 0..2, got {zmax}")
-    if mode == "exhaustive" and g.n > 10:
-        raise ValueError(f"exhaustive search capped at n=10, got n={g.n}")
-    if mode not in ("exhaustive", "structured"):
-        raise ValueError(f"unknown mode {mode!r}")
     verts = range(g.n)
     for zsize in range(min(zmax, g.n - 1) + 1):
         for z in combinations(verts, zsize):
             zset = frozenset(z)
-            rest = [v for v in verts if v not in zset]
-            if mode == "exhaustive":
-                cand_iter = set_partitions(rest)
-            else:
-                cand_iter = _structured_candidates(g, zset)
             seen_sig: set[frozenset[frozenset[int]]] = set()
-            for parts in cand_iter:
+            for parts in _structured_candidates(g, zset):
                 sig = frozenset(frozenset(p) for p in parts)
                 if sig in seen_sig:
                     continue
@@ -250,21 +150,3 @@ def packing_violation_search(
                 if not packing_condition_holds(g, k, vp):
                     return vp
     return None
-
-
-# -- boundary size vs part size -------------------------------------------
-
-
-def cut_size_law_holds(g: Graph, subset: Iterable[int]) -> bool:
-    """A part with boundary below the minimum degree cannot be small:
-    |boundary(U)| <= delta - 1 forces |U| >= delta + 1.
-
-    Counting edges leaving U shows |boundary| >= |U| (delta + 1 - |U|),
-    which exceeds delta - 1 whenever 1 <= |U| <= delta.
-    """
-    fs = frozenset(subset)
-    out = boundary_size(g, fs)
-    delta = g.min_degree()
-    if out > delta - 1:
-        return True
-    return len(fs) >= delta + 1

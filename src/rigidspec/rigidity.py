@@ -1,5 +1,5 @@
-"""Combinatorial planar rigidity: pebble-game rank, verdict predicates,
-canonical labelling, and inductive enumeration of minimally rigid graphs.
+"""Combinatorial planar rigidity: pebble-game rank, the rigidity verdict,
+and inductive enumeration of canonically labelled minimally rigid graphs.
 """
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .graphcore import Graph, is_k_connected, write_graph6
+from .graphcore import Graph, _adjacency_masks, is_k_connected, write_graph6
 
 Edge = tuple[int, int]
 
@@ -127,50 +127,7 @@ def pebble_rank(g: Graph) -> int:
     return _run_pebble_game(g.n, g.edge_list(), coloops=False).rank
 
 
-def independent_edge_basis(g: Graph) -> list[Edge]:
-    """A maximum (2,3)-sparse subset of the edges, in insertion order."""
-    return _run_pebble_game(g.n, g.edge_list(), coloops=False).basis
-
-
-# -- verdict predicates ---------------------------------------------------
-
-
-def is_rigid(g: Graph) -> bool:
-    """Generic planar rigidity: rank reaches 2n-3."""
-    if g.n < 2:
-        raise ValueError("rigidity predicate needs at least 2 vertices")
-    return pebble_rank(g) == 2 * g.n - 3
-
-
-def laman_check(g: Graph) -> bool:
-    """Minimal rigidity: exactly 2n-3 edges, all independent."""
-    if g.n < 2:
-        raise ValueError("minimal rigidity needs at least 2 vertices")
-    return g.m == 2 * g.n - 3 and pebble_rank(g) == g.m
-
-
-def _redundant(n: int, game: PebbleGame) -> bool:
-    return game.rank == 2 * n - 3 and not game.coloops
-
-
-def is_redundantly_rigid(g: Graph) -> bool:
-    """Rigid, and still rigid after deleting any single edge.
-
-    Deleting an edge drops the rank exactly when it is a coloop, a basis
-    edge covered by no rejected edge's fundamental circuit, so one pebble
-    game decides it: rank 2n-3 and no coloops.
-    """
-    if g.n < 2:
-        raise ValueError("redundancy predicate needs at least 2 vertices")
-    return _redundant(g.n, _run_pebble_game(g.n, g.edge_list()))
-
-
-def is_globally_rigid(g: Graph) -> bool:
-    """Unique generic realisation up to congruence, as `rigidity_verdict`
-    decides it."""
-    if g.n < 2:
-        raise ValueError("global rigidity needs at least 2 vertices")
-    return rigidity_verdict(g).globally_rigid
+# -- verdict --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -194,7 +151,9 @@ def rigidity_verdict(g: Graph,
     Complete graphs on at most 3 vertices are globally rigid outright;
     otherwise the combinatorial characterisation is redundant rigidity plus
     3-connectivity (Jackson & Jordan 2005), and connectivity is tested only
-    when redundancy holds.
+    when redundancy holds.  Deleting an edge drops the rank exactly when it
+    is a coloop, so the same game decides redundancy: rank 2n-3 and no
+    coloops.
 
     `kappa`, the vertex connectivity when the caller already has it, saves
     recomputing it; it is only consulted for redundantly rigid graphs on at
@@ -210,7 +169,7 @@ def rigidity_verdict(g: Graph,
     if n == 1:
         redundant = glob = True
     else:
-        redundant = _redundant(n, game)
+        redundant = rigid and not game.coloops
         if n <= 3:
             glob = g.is_complete()
         elif kappa is None:
@@ -245,10 +204,6 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _masks(g: Graph) -> list[int]:
-    return [sum(1 << w for w in a) for a in g.adj]
-
-
 def _refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
     """Colours of each round of neighbourhood refinement from one colour,
     ending with the stable colours.  A round's signature leads with the
@@ -268,13 +223,6 @@ def _refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
         if new == colour:
             return
         colour = new
-
-
-def _refine_classes(adj: Sequence[int]) -> list[int]:
-    """Stable colours of neighbourhood refinement from one colour.  The
-    colours are label-invariant, and their order refines degree order."""
-    *_, colour = _refinement_rounds(adj)
-    return colour
 
 
 def _canonical_rows(adj: Sequence[int],
@@ -340,27 +288,6 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
     n = len(rows)
     return Graph(n, [(n - 1 - b, k) for k, r in enumerate(rows)
                      for b in _members(r)])
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """Relabelling of g whose upper-triangle bit string is lexicographically
-    largest among all labellings, computed exactly.  Raises ValueError when
-    the search exceeds CANONICAL_NODE_BUDGET nodes."""
-    if g.n <= 1:
-        return g
-    adj = _masks(g)
-    return _graph_from_rows(_canonical_rows(adj, _refine_classes(adj)))
-
-
-def canonical_form(g: Graph) -> str:
-    """graph6 line of the canonical relabelling; equal iff isomorphic."""
-    return write_graph6(canonical_graph(g))
-
-
-def graphs_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)
 
 
 # -- enumeration of minimally rigid graphs --------------------------------
@@ -452,18 +379,10 @@ def minimally_rigid_levels(nmin: int,
         if n > 2:
             found = set()
             for g in level:
-                for child in _extensions(_masks(g)):
+                for child in _extensions(_adjacency_masks(g)):
                     colour = _leading_colours(child)
                     if colour is not None:
                         found.add(_canonical_rows(child, colour))
             level = [_graph_from_rows(rows) for rows in found]
         if n >= nmin:
             yield n, sorted(level, key=write_graph6)
-
-
-def enumerate_minimally_rigid(n: int) -> list[Graph]:
-    """All minimally rigid graphs on n vertices, one per isomorphism class,
-    in canonical labelling and graph6 order."""
-    if not 2 <= n <= 9:
-        raise ValueError(f"enumeration supported for 2 <= n <= 9, got {n}")
-    return next(minimally_rigid_levels(n, n))[1]

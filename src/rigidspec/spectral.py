@@ -1,115 +1,29 @@
-"""Adjacency/Laplacian spectra, equitable quotients, and the closed-form
+"""Spectral radius and algebraic connectivity, and the closed-form
 spectral quantities of the two-clique and hub-pair extremal families.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graphcore import Graph, linked_cliques
 
-EIG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Eigenvalues of a symmetric graph matrix, ascending."""
-
-    kind: str
-    values: np.ndarray
-
-    @property
-    def largest(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def second_smallest(self) -> float:
-        if len(self.values) < 2:
-            raise ValueError("need at least 2 eigenvalues")
-        return float(self.values[1])
-
-
-def adjacency_spectrum(g: Graph) -> SymmetricSpectrum:
-    if g.n < 1:
-        raise ValueError("spectrum needs at least 1 vertex")
-    vals = np.linalg.eigvalsh(g.adjacency_matrix())
-    return SymmetricSpectrum("adjacency", vals)
-
-
-def laplacian_spectrum(g: Graph) -> SymmetricSpectrum:
-    if g.n < 1:
-        raise ValueError("spectrum needs at least 1 vertex")
-    vals = np.linalg.eigvalsh(g.laplacian_matrix())
-    return SymmetricSpectrum("laplacian", vals)
-
 
 def spectral_radius(g: Graph) -> float:
     """Largest adjacency eigenvalue (equals the radius: the matrix is
     symmetric nonnegative)."""
-    return adjacency_spectrum(g).largest
+    if g.n < 1:
+        raise ValueError("spectrum needs at least 1 vertex")
+    return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
 
 
 def algebraic_connectivity(g: Graph) -> float:
     """Second-smallest Laplacian eigenvalue; positive iff connected."""
     if g.n < 2:
         raise ValueError("algebraic connectivity needs at least 2 vertices")
-    return laplacian_spectrum(g).second_smallest
-
-
-# -- equitable quotients --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuotientMatrix:
-    """Row-averaged block matrix of a vertex partition.
-
-    `equitable` records whether every vertex of class i has the same number
-    of neighbours in class j, for all i, j; in that case the entries are
-    exact integers and the leading eigenvalue lifts to the graph.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    entries: np.ndarray
-    equitable: bool
-
-    def leading_eigenvalue(self) -> float:
-        vals = np.linalg.eigvals(self.entries)
-        lead = vals[np.argmax(vals.real)]
-        if abs(lead.imag) > 1e-8:
-            raise ValueError(f"leading eigenvalue not real: {lead}")
-        return float(lead.real)
-
-
-def quotient_matrix(g: Graph, classes: Sequence[Iterable[int]]) -> QuotientMatrix:
-    norm: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for c in classes:
-        tc = tuple(sorted(set(c)))
-        if not tc:
-            raise ValueError("empty class not allowed")
-        for v in tc:
-            if not 0 <= v < g.n:
-                raise ValueError(f"vertex {v} out of range")
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two classes")
-            seen.add(v)
-        norm.append(tc)
-    if len(seen) != g.n:
-        raise ValueError("classes must cover every vertex")
-    k = len(norm)
-    entries = np.zeros((k, k))
-    equitable = True
-    for i, ci in enumerate(norm):
-        for j, cj in enumerate(norm):
-            cj_set = set(cj)
-            counts = [len(g.adj[u] & cj_set) for u in ci]
-            if len(set(counts)) > 1:
-                equitable = False
-            entries[i, j] = sum(counts) / len(ci)
-    return QuotientMatrix(tuple(norm), entries, equitable)
+    return float(np.linalg.eigvalsh(g.laplacian_matrix())[1])
 
 
 # -- two-clique family: closed forms --------------------------------------
@@ -239,17 +153,6 @@ def hong_bound(n: int, m: int, delta: int) -> float:
     return hong_bound_function(n, m, delta)
 
 
-def hong_equality_condition(g: Graph) -> bool:
-    """When the Hong-type bound is attained: connected and either regular
-    or with every degree equal to the minimum or to n - 1."""
-    if g.n < 2:
-        raise ValueError("need at least 2 vertices")
-    ds = set(g.degrees())
-    if not g.is_connected():
-        return False
-    return len(ds) == 1 or ds == {min(ds), g.n - 1}
-
-
 def hong_bound_function(p: int, q: int, x: float) -> float:
     """The same bound viewed as a function of the degree argument x, with
     p vertices and q edges fixed.  Decreasing on 0 <= x <= p - 1 provided
@@ -264,40 +167,3 @@ def hong_bound_function(p: int, q: int, x: float) -> float:
     if radicand < 0.0:
         raise ValueError(f"radicand negative at x={x}")
     return (x - 1.0) / 2.0 + math.sqrt(radicand)
-
-
-def edge_lower_bound(n: int, delta: int) -> float:
-    """Edge count above which the radius condition of the rigidity
-    threshold is implied: n^2/2 - (2*delta+3)*n/2 + (delta+1)^2."""
-    if n < 1 or delta < 0:
-        raise ValueError(f"need n >= 1, delta >= 0: {(n, delta)}")
-    return n * n / 2.0 - (2 * delta + 3) * n / 2.0 + (delta + 1) ** 2
-
-
-def max_clique_partition_edges(
-    n: int, num_parts: int, lower: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Maximum of sum-of-binomials over integer part sizes.
-
-    Over n_1 + ... + n_t = n with n_j >= lower[j-1] for j < t and n_t free,
-    the sum of C(n_j, 2) is maximised by pinning every bounded part at its
-    bound and loading the remainder into the free part: moving a unit onto
-    the largest part always gains, since C(x+1,2) - C(x,2) = x grows in x.
-    Requires the free part to end up at least as large as every bound.
-    """
-    if num_parts not in (3, 4):
-        raise ValueError(f"num_parts must be 3 or 4, got {num_parts}")
-    if len(lower) != num_parts - 1:
-        raise ValueError(
-            f"expected {num_parts - 1} lower bounds, got {len(lower)}"
-        )
-    if any(b < 1 for b in lower):
-        raise ValueError(f"lower bounds must be >= 1: {lower}")
-    rest = n - sum(lower)
-    if rest < max(lower):
-        raise ValueError(
-            f"infeasible: free part {rest} below max bound {max(lower)}"
-        )
-    witness = tuple(lower) + (rest,)
-    value = sum(math.comb(s, 2) for s in witness)
-    return value, witness

@@ -405,7 +405,7 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
     for n in range(2 * delta + 4, nmax + 1):
         b2 = linked_cliques(n, a, 2)
         b3 = linked_cliques(n, a, 3)
-        witness = packing_violation_search(b2, 1, zmax=0, mode="structured")
+        witness = packing_violation_search(b2, 1, zmax=0)
         wit_ok = (
             witness is not None
             and not witness.z
@@ -428,7 +428,7 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
             "b3_rank": v3.rank == 2 * n - 3,
             "b3_numeric_rank": numeric_rank(b3, pl) == 2 * n - 3,
             "b3_no_witness": packing_violation_search(
-                b3, 1, zmax=0, mode="structured") is None,
+                b3, 1, zmax=0) is None,
             "b3_rigid_not_redundant": not v3.redundantly_rigid,
             "b3_not_globally_rigid": not v3.globally_rigid,
         }

@@ -34,6 +34,16 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, [e for e in vertex_pairs(n) if rng.random() < p])
 
 
+def to_networkx(g):
+    """g as a networkx graph on the same vertex set."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
 def henneberg_graph(rng, n):
     """Random minimally rigid graph grown by degree-2 additions and edge
     splits, randomly relabelled."""

@@ -1,0 +1,312 @@
+"""Reference oracles and paper-lemma helpers that only the tests use.
+
+The oracles are slow definitions that the fast routines are checked
+against; the helpers state lemmas of the paper so that tests can check
+them on their own.  No command-line path runs any of them.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+
+from rigidspec import (Graph, Placement, VertexPartition,
+                       packing_condition_holds, rigidity, write_graph6)
+from rigidspec.graphcore import _adjacency_masks, _check_subset
+
+
+# -- counting and rigidity by definition ----------------------------------
+
+
+def boundary_size(g: Graph, subset: Iterable[int]) -> int:
+    """Number of edges with exactly one endpoint in `subset`.
+
+    Requires a nonempty proper subset of the vertex set.
+    """
+    fs = _check_subset(g, subset)
+    if not fs or len(fs) == g.n:
+        raise ValueError("subset must be nonempty and proper")
+    return sum(1 for u, v in g.edges if (u in fs) != (v in fs))
+
+
+def induced_edge_count(g: Graph, subset: Iterable[int]) -> int:
+    """Number of edges with both endpoints in `subset` (0 for empty subsets)."""
+    fs = _check_subset(g, subset)
+    return sum(1 for u, v in g.edges if u in fs and v in fs)
+
+
+def cut_size_law_holds(g: Graph, subset: Iterable[int]) -> bool:
+    """A part with boundary below the minimum degree cannot be small:
+    |boundary(U)| <= delta - 1 forces |U| >= delta + 1.
+
+    Counting edges leaving U shows |boundary| >= |U| (delta + 1 - |U|),
+    which exceeds delta - 1 whenever 1 <= |U| <= delta.
+    """
+    fs = frozenset(subset)
+    out = boundary_size(g, fs)
+    delta = g.min_degree()
+    if out > delta - 1:
+        return True
+    return len(fs) >= delta + 1
+
+
+def trivial_motion_space(pl: Placement) -> np.ndarray:
+    """2n x 3 basis of the always-flexible motions: two translations and
+    the rotation (x, y) -> (-y, x)."""
+    n = pl.n
+    basis = np.zeros((2 * n, 3))
+    basis[0::2, 0] = 1.0
+    basis[1::2, 1] = 1.0
+    basis[0::2, 2] = -pl.coords[:, 1]
+    basis[1::2, 2] = pl.coords[:, 0]
+    return basis
+
+
+def brute_minimally_rigid(g: Graph) -> bool:
+    """Definition-level check: 2n-3 edges and every vertex subset X with
+    |X| >= 2 spans at most 2|X| - 3 edges.  Exponential in n."""
+    n = g.n
+    if n < 2:
+        raise ValueError("need at least 2 vertices")
+    if n > 10:
+        raise ValueError(f"exhaustive check capped at n=10, got n={n}")
+    if g.m != 2 * n - 3:
+        return False
+    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
+    for x in range(1 << n):
+        size = x.bit_count()
+        if size < 2:
+            continue
+        inside = sum(1 for em in emasks if em & x == em)
+        if inside > 2 * size - 3:
+            return False
+    return True
+
+
+def brute_sparse_rank(g: Graph) -> int:
+    """Greedy matroid rank with the independence oracle evaluated by
+    explicit subset counting: an edge is accepted when no vertex subset
+    would exceed its 2|X| - 3 budget.  Exponential in n."""
+    n = g.n
+    if n > 14:
+        raise ValueError(f"exhaustive rank capped at n=14, got n={n}")
+    if n < 2 or g.m == 0:
+        return 0
+    universe = np.arange(1 << n, dtype=np.int64)
+    sizes = np.zeros(1 << n, dtype=np.int64)
+    for b in range(n):
+        sizes += (universe >> b) & 1
+    limits = 2 * sizes - 3
+    counts = np.zeros(1 << n, dtype=np.int64)
+    rank = 0
+    for u, v in g.edge_list():
+        base = (1 << u) | (1 << v)
+        idx = np.nonzero((universe & base) == base)[0]
+        if np.all(counts[idx] < limits[idx]):
+            counts[idx] += 1
+            rank += 1
+    return rank
+
+
+# -- packing inequality over every partition ------------------------------
+
+
+def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
+    """All partitions of `items` via restricted growth strings."""
+    items = list(items)
+    k = len(items)
+    if k == 0:
+        yield []
+        return
+    rgs = [0] * k
+    while True:
+        blocks: dict[int, list[int]] = {}
+        for pos, b in enumerate(rgs):
+            blocks.setdefault(b, []).append(items[pos])
+        yield [blocks[b] for b in sorted(blocks)]
+        # advance: rightmost position that can still grow
+        j = k - 1
+        while j > 0:
+            if rgs[j] <= max(rgs[:j]):
+                break
+            j -= 1
+        if j == 0:
+            return
+        rgs[j] += 1
+        for t in range(j + 1, k):
+            rgs[t] = 0
+
+
+def exhaustive_packing_violation(g: Graph, k: int,
+                                 zmax: int) -> Optional[VertexPartition]:
+    """First (Z, partition) violating the packing inequality over every Z
+    up to zmax and every partition of the rest, or None.  n <= 10 only."""
+    if zmax < 0 or zmax > 2:
+        raise ValueError(f"zmax must be in 0..2, got {zmax}")
+    if g.n > 10:
+        raise ValueError(f"exhaustive search capped at n=10, got n={g.n}")
+    verts = range(g.n)
+    for zsize in range(min(zmax, g.n - 1) + 1):
+        for z in combinations(verts, zsize):
+            rest = [v for v in verts if v not in z]
+            for parts in set_partitions(rest):
+                vp = VertexPartition(g, z, parts)
+                if not packing_condition_holds(g, k, vp):
+                    return vp
+    return None
+
+
+# -- canonical labelling from the stable colours --------------------------
+
+
+def _refine_classes(adj: Sequence[int]) -> list[int]:
+    """Stable colours of neighbourhood refinement from one colour.  The
+    colours are label-invariant, and their order refines degree order."""
+    *_, colour = rigidity._refinement_rounds(adj)
+    return colour
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """Relabelling of g whose upper-triangle bit string is lexicographically
+    largest among all labellings, computed exactly.  Raises ValueError when
+    the search exceeds rigidity.CANONICAL_NODE_BUDGET nodes."""
+    if g.n <= 1:
+        return g
+    adj = _adjacency_masks(g)
+    rows = rigidity._canonical_rows(adj, _refine_classes(adj))
+    return rigidity._graph_from_rows(rows)
+
+
+def canonical_form(g: Graph) -> str:
+    """graph6 line of the canonical relabelling; equal iff isomorphic."""
+    return write_graph6(canonical_graph(g))
+
+
+# -- paper lemmas: quotients, Hong's bound, clique partitions -------------
+
+
+@dataclass(frozen=True)
+class QuotientMatrix:
+    """Row-averaged block matrix of a vertex partition.
+
+    `equitable` records whether every vertex of class i has the same number
+    of neighbours in class j, for all i, j; in that case the entries are
+    exact integers and the leading eigenvalue lifts to the graph.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
+    equitable: bool
+
+    def leading_eigenvalue(self) -> float:
+        vals = np.linalg.eigvals(self.entries)
+        lead = vals[np.argmax(vals.real)]
+        if abs(lead.imag) > 1e-8:
+            raise ValueError(f"leading eigenvalue not real: {lead}")
+        return float(lead.real)
+
+
+def quotient_matrix(g: Graph,
+                    classes: Sequence[Iterable[int]]) -> QuotientMatrix:
+    norm: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    for c in classes:
+        tc = tuple(sorted(set(c)))
+        if not tc:
+            raise ValueError("empty class not allowed")
+        for v in tc:
+            if not 0 <= v < g.n:
+                raise ValueError(f"vertex {v} out of range")
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two classes")
+            seen.add(v)
+        norm.append(tc)
+    if len(seen) != g.n:
+        raise ValueError("classes must cover every vertex")
+    k = len(norm)
+    entries = np.zeros((k, k))
+    equitable = True
+    for i, ci in enumerate(norm):
+        for j, cj in enumerate(norm):
+            cj_set = set(cj)
+            counts = [len(g.adj[u] & cj_set) for u in ci]
+            if len(set(counts)) > 1:
+                equitable = False
+            entries[i, j] = sum(counts) / len(ci)
+    return QuotientMatrix(tuple(norm), entries, equitable)
+
+
+def hong_equality_condition(g: Graph) -> bool:
+    """When the Hong-type bound is attained: connected and either regular
+    or with every degree equal to the minimum or to n - 1."""
+    if g.n < 2:
+        raise ValueError("need at least 2 vertices")
+    ds = set(g.degrees())
+    if not g.is_connected():
+        return False
+    return len(ds) == 1 or ds == {min(ds), g.n - 1}
+
+
+def edge_lower_bound(n: int, delta: int) -> float:
+    """Edge count above which the radius condition of the rigidity
+    threshold is implied: n^2/2 - (2*delta+3)*n/2 + (delta+1)^2."""
+    if n < 1 or delta < 0:
+        raise ValueError(f"need n >= 1, delta >= 0: {(n, delta)}")
+    return n * n / 2.0 - (2 * delta + 3) * n / 2.0 + (delta + 1) ** 2
+
+
+def max_clique_partition_edges(
+    n: int, num_parts: int, lower: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Maximum of sum-of-binomials over integer part sizes.
+
+    Over n_1 + ... + n_t = n with n_j >= lower[j-1] for j < t and n_t free,
+    the sum of C(n_j, 2) is maximised by pinning every bounded part at its
+    bound and loading the remainder into the free part: moving a unit onto
+    the largest part always gains, since C(x+1,2) - C(x,2) = x grows in x.
+    Requires the free part to end up at least as large as every bound.
+    """
+    if num_parts not in (3, 4):
+        raise ValueError(f"num_parts must be 3 or 4, got {num_parts}")
+    if len(lower) != num_parts - 1:
+        raise ValueError(
+            f"expected {num_parts - 1} lower bounds, got {len(lower)}"
+        )
+    if any(b < 1 for b in lower):
+        raise ValueError(f"lower bounds must be >= 1: {lower}")
+    rest = n - sum(lower)
+    if rest < max(lower):
+        raise ValueError(
+            f"infeasible: free part {rest} below max bound {max(lower)}"
+        )
+    witness = tuple(lower) + (rest,)
+    value = sum(math.comb(s, 2) for s in witness)
+    return value, witness
+
+
+def _bounded_compositions(n: int, bounds: Sequence[int]):
+    """Tuples with the given lower bounds summing to n."""
+    if len(bounds) == 1:
+        if n >= bounds[0]:
+            yield (n,)
+        return
+    rest = sum(bounds[1:])
+    for s in range(bounds[0], n - rest + 1):
+        for tail in _bounded_compositions(n - s, bounds[1:]):
+            yield (s,) + tail
+
+
+def brute_max_partition(n: int, bounds: Sequence[int]):
+    """The maximum of sum C(s_j, 2) over part sizes s_j >= bounds[j]
+    summing to n, by enumeration, and the sorted size tuples attaining it."""
+    best, best_sets = -1, set()
+    for sizes in _bounded_compositions(n, bounds):
+        val = sum(s * (s - 1) // 2 for s in sizes)
+        if val > best:
+            best, best_sets = val, {tuple(sorted(sizes))}
+        elif val == best:
+            best_sets.add(tuple(sorted(sizes)))
+    return best, best_sets

@@ -30,14 +30,9 @@ import numpy as np
 import pytest
 
 from rigidspec import (
-    brute_minimally_rigid,
-    brute_sparse_rank,
-    canonical_form,
     complete_graph,
     complete_split_graph,
     complete_split_rho,
-    cut_size_law_holds,
-    enumerate_minimally_rigid,
     extremal_family_report,
     hong_bound,
     hong_bound_function,
@@ -45,13 +40,21 @@ from rigidspec import (
     linked_cliques_char_poly,
     linked_cliques_quotient,
     linked_cliques_rho,
-    max_clique_partition_edges,
+    minimally_rigid_levels,
     numeric_rank,
     pebble_rank,
     random_placement,
     spectral_radius,
 )
 from conftest import graph_from_mask, iso_class_representatives, vertex_pairs
+from oracles import (
+    brute_max_partition,
+    brute_minimally_rigid,
+    brute_sparse_rank,
+    canonical_form,
+    cut_size_law_holds,
+    max_clique_partition_edges,
+)
 
 GRID = [
     (links, a, n)
@@ -82,16 +85,7 @@ def test_criterion1_rank_routes_agree(connected_labeled_upto6,
     start = time.time()
     bad = 0
     total = 0
-    for g in connected_labeled_upto6:
-        total += 1
-        r = pebble_rank(g)
-        if brute_sparse_rank(g) != r:
-            bad += 1
-            continue
-        if any(numeric_rank(g, random_placement(g.n, s)) != r
-               for s in range(10)):
-            bad += 1
-    for g in random_corpus_1000:
+    for g in connected_labeled_upto6 + random_corpus_1000:
         total += 1
         r = pebble_rank(g)
         if brute_sparse_rank(g) != r:
@@ -232,7 +226,7 @@ def test_criterion4_extremal_minimally_rigid():
     rows_ok = True
     detail = []
     for n in range(3, 9):
-        graphs = enumerate_minimally_rigid(n)
+        graphs = next(minimally_rigid_levels(n, n))[1]
         counts.append(len(graphs))
         if n <= 6:
             brute_count = sum(
@@ -281,14 +275,8 @@ def test_criterion6_hong_bound(connected_labeled_upto6, random_corpus_1000):
     closed form as the extremal radius."""
     worst_excess = 0.0
     checked = 0
-    for g in connected_labeled_upto6:
-        if g.n < 2:
-            continue
-        worst_excess = max(
-            worst_excess,
-            spectral_radius(g) - hong_bound(g.n, g.m, g.min_degree()))
-        checked += 1
-    for g in random_corpus_1000:
+    for g in connected_labeled_upto6 + random_corpus_1000:
+        # the connected graphs skipped here are exactly those with n = 1
         if g.min_degree() < 1:
             continue
         worst_excess = max(
@@ -317,18 +305,6 @@ def test_criterion6_hong_bound(connected_labeled_upto6, random_corpus_1000):
     assert ok
 
 
-def _bounded_compositions(n, bounds):
-    """Tuples with the given lower bounds summing to n."""
-    if len(bounds) == 1:
-        if n >= bounds[0]:
-            yield (n,)
-        return
-    rest = sum(bounds[1:])
-    for s in range(bounds[0], n - rest + 1):
-        for tail in _bounded_compositions(n - s, bounds[1:]):
-            yield (s,) + tail
-
-
 def test_criterion7_degree_function_and_partition_max():
     """Closed-form clique-partition maximum equals the brute maximum with
     a matching unique maximising multiset, exhaustively for n <= 20,
@@ -341,14 +317,7 @@ def test_criterion7_degree_function_and_partition_max():
             bounds = lower + (max(lower),)
             for n in range(sum(bounds), 21):
                 value, witness = max_clique_partition_edges(n, t, lower)
-                best = -1
-                best_sets = set()
-                for sizes in _bounded_compositions(n, bounds):
-                    val = sum(s * (s - 1) // 2 for s in sizes)
-                    if val > best:
-                        best, best_sets = val, {tuple(sorted(sizes))}
-                    elif val == best:
-                        best_sets.add(tuple(sorted(sizes)))
+                best, best_sets = brute_max_partition(n, bounds)
                 part_checked += 1
                 if value != best or best_sets != {tuple(sorted(witness))}:
                     part_ok = False

@@ -12,7 +12,7 @@ from rigidspec import (
     write_graph6,
 )
 from rigidspec.graphcore import iter_graph6_lines
-from conftest import random_graph
+from conftest import random_graph, to_networkx
 
 
 def test_known_encodings():
@@ -54,9 +54,7 @@ def test_agreement_with_networkx():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 20), rng.random())
         ours = write_graph6(g)
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
+        h = to_networkx(g)
         theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert ours == theirs
         back = nx.from_graph6_bytes(ours.encode())

@@ -1,5 +1,4 @@
 """Numeric rank, exhaustive sparsity oracles, packing and cut-size checks."""
-import math
 import random
 
 import numpy as np
@@ -10,13 +9,8 @@ from rigidspec import (
     Graph,
     Placement,
     VertexPartition,
-    brute_minimally_rigid,
-    brute_sparse_rank,
     complete_graph,
-    cut_size_law_holds,
     cycle_graph,
-    is_rigid,
-    laman_check,
     linked_cliques,
     numeric_rank,
     packing_condition_holds,
@@ -25,10 +19,17 @@ from rigidspec import (
     pebble_rank,
     random_placement,
     rigidity_matrix,
+    rigidity_verdict,
+)
+from conftest import all_labeled_graphs, random_graph
+from oracles import (
+    brute_minimally_rigid,
+    brute_sparse_rank,
+    cut_size_law_holds,
+    exhaustive_packing_violation,
+    set_partitions,
     trivial_motion_space,
 )
-from rigidspec.oracle import set_partitions
-from conftest import all_labeled_graphs, random_graph
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
 
@@ -110,7 +111,7 @@ def test_numeric_rank_detects_rigidity():
     ]:
         pl = random_placement(g.n, 5)
         assert (numeric_rank(g, pl) == 2 * g.n - 3) == expect
-        assert is_rigid(g) == expect
+        assert rigidity_verdict(g).rigid == expect
 
 
 def test_brute_sparse_rank_exhaustive_small():
@@ -166,25 +167,26 @@ def test_packing_condition_known_cases():
 
 def test_packing_violation_search_modes():
     c6 = cycle_graph(6)
-    w = packing_violation_search(c6, 1, zmax=2, mode="exhaustive")
+    w = exhaustive_packing_violation(c6, 1, zmax=2)
     assert w is not None
     assert not packing_condition_holds(c6, 1, w)
-    assert packing_violation_search(complete_graph(7), 1, zmax=2,
-                                    mode="exhaustive") is None
+    assert exhaustive_packing_violation(complete_graph(7), 1, zmax=2) is None
+    # the structured search agrees on both
+    w = packing_violation_search(c6, 1, zmax=2)
+    assert w is not None
+    assert not packing_condition_holds(c6, 1, w)
+    assert packing_violation_search(complete_graph(7), 1, zmax=2) is None
     with pytest.raises(ValueError):
-        packing_violation_search(complete_graph(4), 1, zmax=3,
-                                 mode="exhaustive")
+        exhaustive_packing_violation(complete_graph(4), 1, zmax=3)
     with pytest.raises(ValueError):
-        packing_violation_search(Graph(12), 1, mode="exhaustive")
+        packing_violation_search(complete_graph(4), 1, zmax=3)
     with pytest.raises(ValueError):
-        packing_violation_search(c6, 1, mode="nope")
-    with pytest.raises(ValueError):
-        packing_violation_search(c6, 1, mode="auto")
+        exhaustive_packing_violation(Graph(12), 1, zmax=2)
 
 
 def test_packing_witness_for_two_clique_family():
     b2 = linked_cliques(18, 7, 2)
-    w = packing_violation_search(b2, 1, zmax=0, mode="structured")
+    w = packing_violation_search(b2, 1, zmax=0)
     assert w is not None and not w.z
     assert {frozenset(p) for p in w.parts} == {
         frozenset(range(7)), frozenset(range(7, 18))
@@ -200,9 +202,9 @@ def test_rigid_graphs_admit_no_violation():
     checked = 0
     for _ in range(120):
         g = random_graph(rng, rng.randint(4, 6), rng.uniform(0.5, 0.95))
-        if not is_rigid(g):
+        if not rigidity_verdict(g).rigid:
             continue
-        assert packing_violation_search(g, 1, zmax=2, mode="exhaustive") is None
+        assert exhaustive_packing_violation(g, 1, zmax=2) is None
         checked += 1
     assert checked >= 20
 
@@ -215,7 +217,7 @@ def test_sparse_graphs_always_caught():
         g = random_graph(rng, n, 0.25)
         if g.m >= 2 * n - 3:
             continue
-        w = packing_violation_search(g, 1, zmax=0, mode="structured")
+        w = packing_violation_search(g, 1, zmax=0)
         assert w is not None
 
 

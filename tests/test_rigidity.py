@@ -8,20 +8,10 @@ import pytest
 
 from rigidspec import (
     Graph,
-    brute_minimally_rigid,
-    canonical_form,
-    canonical_graph,
     complete_graph,
     complete_split_graph,
     complete_split_rho,
     cycle_graph,
-    enumerate_minimally_rigid,
-    graphs_isomorphic,
-    independent_edge_basis,
-    is_globally_rigid,
-    is_redundantly_rigid,
-    is_rigid,
-    laman_check,
     laman_extremal_report,
     linked_cliques,
     minimally_rigid_levels,
@@ -33,6 +23,7 @@ from rigidspec import (
     write_graph6,
 )
 from rigidspec import rigidity
+from rigidspec.graphcore import _adjacency_masks
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
     all_labeled_graphs,
@@ -41,8 +32,15 @@ from conftest import (
     minperm_canonical_masks,
     pair_permutation_tables,
     random_graph,
+    to_networkx,
     vertex_pairs,
     with_random_edges,
+)
+from oracles import (
+    _refine_classes,
+    brute_minimally_rigid,
+    canonical_form,
+    canonical_graph,
 )
 
 # census of minimally rigid graphs per order, from the published tables
@@ -98,44 +96,45 @@ def test_independent_basis_is_sparse_and_spanning():
     rng = random.Random(21)
     for _ in range(30):
         g = random_graph(rng, rng.randint(4, 9), 0.5)
-        basis = independent_edge_basis(g)
+        basis = _run_pebble_game(g.n, g.edge_list(), coloops=False).basis
         assert len(basis) == pebble_rank(g)
         h = Graph(g.n, basis)
         assert pebble_rank(h) == h.m  # independent
 
 
 def test_predicates_known_graphs():
-    assert is_rigid(complete_graph(4))
-    assert not is_rigid(cycle_graph(4))
-    assert laman_check(complete_graph(4).without_edge(0, 1))
-    assert not laman_check(complete_graph(4))
-    assert not laman_check(cycle_graph(5))
-    assert laman_check(complete_split_graph(8))
+    assert rigidity_verdict(complete_graph(4)).rigid
+    assert not rigidity_verdict(cycle_graph(4)).rigid
+    k4e = complete_graph(4).without_edge(0, 1)
+    assert rigidity_verdict(k4e).minimally_rigid
+    assert not rigidity_verdict(complete_graph(4)).minimally_rigid
+    assert not rigidity_verdict(cycle_graph(5)).minimally_rigid
+    assert rigidity_verdict(complete_split_graph(8)).minimally_rigid
     k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    assert laman_check(k33)
-    assert is_redundantly_rigid(complete_graph(4))
-    assert not is_redundantly_rigid(complete_graph(4).without_edge(0, 1))
-    assert not is_redundantly_rigid(Graph(2, [(0, 1)]))
+    assert rigidity_verdict(k33).minimally_rigid
+    assert rigidity_verdict(complete_graph(4)).redundantly_rigid
+    assert not rigidity_verdict(k4e).redundantly_rigid
+    assert not rigidity_verdict(Graph(2, [(0, 1)])).redundantly_rigid
     b3 = linked_cliques(16, 7, 3)
-    assert is_rigid(b3)
-    assert not is_redundantly_rigid(b3)
-    assert not is_globally_rigid(b3)
-    assert not is_rigid(linked_cliques(16, 7, 2))
+    v3 = rigidity_verdict(b3)
+    assert v3.rigid and not v3.redundantly_rigid and not v3.globally_rigid
+    assert not rigidity_verdict(linked_cliques(16, 7, 2)).rigid
 
 
 def test_globally_rigid_known_graphs():
-    assert is_globally_rigid(complete_graph(2))
-    assert is_globally_rigid(complete_graph(3))
-    assert is_globally_rigid(complete_graph(4))
-    assert is_globally_rigid(complete_graph(5))
-    assert not is_globally_rigid(Graph(3, [(0, 1), (1, 2)]))
-    assert not is_globally_rigid(cycle_graph(5))
-    assert not is_globally_rigid(complete_split_graph(6))
+    assert rigidity_verdict(complete_graph(2)).globally_rigid
+    assert rigidity_verdict(complete_graph(3)).globally_rigid
+    assert rigidity_verdict(complete_graph(4)).globally_rigid
+    assert rigidity_verdict(complete_graph(5)).globally_rigid
+    assert not rigidity_verdict(Graph(3, [(0, 1), (1, 2)])).globally_rigid
+    assert not rigidity_verdict(cycle_graph(5)).globally_rigid
+    assert not rigidity_verdict(complete_split_graph(6)).globally_rigid
     k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
-    assert not is_globally_rigid(k33)  # minimally rigid, so not redundant
+    # minimally rigid, so not redundant
+    assert not rigidity_verdict(k33).globally_rigid
     wheel = Graph(6, [(0, k) for k in range(1, 6)]
                   + [(k, k % 5 + 1) for k in range(1, 6)])
-    assert is_globally_rigid(wheel)
+    assert rigidity_verdict(wheel).globally_rigid
 
 
 def _redundant_by_definition(g):
@@ -150,15 +149,16 @@ def _redundant_by_definition(g):
 def test_redundancy_shortcut_matches_definition_exhaustive():
     for n in (4, 5):
         for g in all_labeled_graphs(n):
-            assert is_redundantly_rigid(g) == _redundant_by_definition(g), \
-                (n, sorted(g.edges))
+            assert (rigidity_verdict(g).redundantly_rigid
+                    == _redundant_by_definition(g)), (n, sorted(g.edges))
 
 
 def test_redundancy_shortcut_matches_definition_random():
     rng = random.Random(55)
     for _ in range(120):
         g = random_graph(rng, rng.randint(6, 9), rng.uniform(0.35, 0.85))
-        assert is_redundantly_rigid(g) == _redundant_by_definition(g)
+        assert (rigidity_verdict(g).redundantly_rigid
+                == _redundant_by_definition(g))
 
 
 def _coloops_by_rerun(g):
@@ -212,7 +212,8 @@ def test_one_pass_coloops_match_rerun_and_numeric_rank():
         rng.shuffle(edges)
         assert set(_run_pebble_game(g.n, edges).coloops) == coloops
         rigid = game.rank == 2 * g.n - 3
-        assert is_redundantly_rigid(g) == (rigid and not coloops)
+        assert rigidity_verdict(g).redundantly_rigid == (
+            rigid and not coloops)
         tally["coloops"] += bool(coloops)
         tally["rigid_with_coloops"] += rigid and bool(coloops)
         tally["redundant"] += rigid and not coloops
@@ -237,12 +238,9 @@ def test_verdict_implications_exhaustive_n5():
 def test_globally_rigid_matches_independent_route_exhaustive_n5():
     nx = pytest.importorskip("networkx")
     for g in all_labeled_graphs(5):
-        h = nx.Graph()
-        h.add_nodes_from(range(5))
-        h.add_edges_from(g.edges)
+        h = to_networkx(g)
         kappa = nx.node_connectivity(h)
         expected = kappa >= 3 and _redundant_by_definition(g)
-        assert is_globally_rigid(g) == expected
         assert rigidity_verdict(g).globally_rigid == expected
         assert rigidity_verdict(g, kappa=kappa).globally_rigid == expected
 
@@ -250,13 +248,14 @@ def test_globally_rigid_matches_independent_route_exhaustive_n5():
 def test_laman_check_matches_subset_oracle():
     for n in (4, 5):
         for g in all_labeled_graphs(n):
-            assert laman_check(g) == brute_minimally_rigid(g)
+            assert (rigidity_verdict(g).minimally_rigid
+                    == brute_minimally_rigid(g))
     # n = 6: every graph with exactly 2n-3 edges
     pairs = vertex_pairs(6)
     for chosen in combinations(range(15), 9):
         mask = sum(1 << k for k in chosen)
         g = graph_from_mask(6, mask, pairs)
-        assert laman_check(g) == brute_minimally_rigid(g)
+        assert rigidity_verdict(g).minimally_rigid == brute_minimally_rigid(g)
 
 
 # -- canonical labelling --------------------------------------------------
@@ -307,14 +306,8 @@ def test_isomorphism_agrees_with_networkx():
         n = rng.randint(4, 8)
         g = random_graph(rng, n, 0.5)
         h = random_graph(rng, n, 0.5)
-        ng = nx.Graph()
-        ng.add_nodes_from(range(n))
-        ng.add_edges_from(g.edges)
-        nh = nx.Graph()
-        nh.add_nodes_from(range(n))
-        nh.add_edges_from(h.edges)
-        expected = nx.is_isomorphic(ng, nh)
-        assert graphs_isomorphic(g, h) == expected
+        expected = nx.is_isomorphic(to_networkx(g), to_networkx(h))
+        assert (canonical_form(g) == canonical_form(h)) == expected
         checked_true += expected
         checked_false += not expected
     assert checked_false > 0
@@ -334,25 +327,25 @@ def test_enumeration_counts_vs_exhaustive_filter():
             mask = sum(1 << k for k in chosen)
             if brute_minimally_rigid(graph_from_mask(n, mask, pairs)):
                 orbits.add(int(canon_masks[mask]))
-        enumerated = enumerate_minimally_rigid(n)
+        enumerated = next(minimally_rigid_levels(n, n))[1]
         assert len(enumerated) == len(orbits) == KNOWN_CLASS_COUNTS[n]
 
 
 def test_enumeration_members_are_minimally_rigid_and_distinct():
     for n in (6, 7):
-        graphs = enumerate_minimally_rigid(n)
+        graphs = next(minimally_rigid_levels(n, n))[1]
         assert len(graphs) == KNOWN_CLASS_COUNTS[n]
         forms = {canonical_form(g) for g in graphs}
         assert len(forms) == len(graphs)
         for g in graphs:
-            assert laman_check(g)
+            assert rigidity_verdict(g).minimally_rigid
             assert brute_minimally_rigid(g)
 
 
 def test_enumeration_returns_canonical_labellings_in_order():
     # laman-extremal prints these labellings as argmax_graph6
     for n in range(3, 8):
-        graphs = enumerate_minimally_rigid(n)
+        graphs = next(minimally_rigid_levels(n, n))[1]
         lines = [write_graph6(g) for g in graphs]
         assert lines == [canonical_form(g) for g in graphs]
         assert lines == sorted(lines)
@@ -391,7 +384,7 @@ def test_enumeration_complete_via_labeled_count_n7():
     weights = (np.int64(1) << table)
     index = {p: k for k, p in enumerate(pairs)}
     labeled_from_classes = 0
-    for g in enumerate_minimally_rigid(n):
+    for g in next(minimally_rigid_levels(n, n))[1]:
         mask_bits = np.zeros(npairs, dtype=np.int64)
         for e in g.edges:
             mask_bits[index[e]] = 1
@@ -405,16 +398,16 @@ def test_enumeration_complete_via_labeled_count_n7():
 
 def test_enumeration_rejects_out_of_range():
     with pytest.raises(ValueError):
-        enumerate_minimally_rigid(1)
+        next(minimally_rigid_levels(1, 1))
     with pytest.raises(ValueError):
-        enumerate_minimally_rigid(10)
+        next(minimally_rigid_levels(10, 10))
 
 
 def test_levels_match_enumeration_per_order():
     levels = list(minimally_rigid_levels(2, 7))
     assert [n for n, _ in levels] == list(range(2, 8))
     for n, graphs in levels:
-        assert graphs == enumerate_minimally_rigid(n)
+        assert graphs == next(minimally_rigid_levels(n, n))[1]
     for nmin, nmax in ((1, 3), (5, 4), (3, 10)):
         with pytest.raises(ValueError):
             list(minimally_rigid_levels(nmin, nmax))
@@ -436,7 +429,7 @@ def _count_labellings(monkeypatch):
 
 def test_laman_sweep_grows_each_level_once(monkeypatch):
     calls = _count_labellings(monkeypatch)
-    enumerate_minimally_rigid(7)
+    next(minimally_rigid_levels(7, 7))
     alone, calls[0] = calls[0], 0
     assert alone > 0
     rep = laman_extremal_report(3, 7)
@@ -454,7 +447,7 @@ def test_laman_sweep_labels_few_children(monkeypatch):
 
 def _assert_rounds_refine(adj):
     rounds = list(rigidity._refinement_rounds(adj))
-    assert rounds[-1] == rigidity._refine_classes(adj)
+    assert rounds[-1] == _refine_classes(adj)
     for before, after in zip(rounds, rounds[1:]):
         for u, v in permutations(range(len(adj)), 2):
             if before[u] < before[v]:
@@ -465,19 +458,19 @@ def test_each_refinement_round_refines_the_last():
     # early rejection rests on this: a vertex behind x stays behind
     for _, graphs in minimally_rigid_levels(2, 8):
         for g in graphs:
-            _assert_rounds_refine(rigidity._masks(g))
+            _assert_rounds_refine(_adjacency_masks(g))
     rng = random.Random(31)
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 20), rng.random())
-        _assert_rounds_refine(rigidity._masks(g))
+        _assert_rounds_refine(_adjacency_masks(g))
 
 
 def test_early_rejection_matches_stable_colour_test():
     # reference: refine to the stable colours, then test the new vertex
     for _, graphs in minimally_rigid_levels(2, 7):
         for g in graphs:
-            for child in rigidity._extensions(rigidity._masks(g)):
-                colour = rigidity._refine_classes(child)
+            for child in rigidity._extensions(_adjacency_masks(g)):
+                colour = _refine_classes(child)
                 degree = [a.bit_count() for a in child]
                 low = min(degree)
                 leads = degree[-1] == low and colour[-1] == max(
@@ -517,22 +510,25 @@ def test_every_degree_2_or_3_vertex_is_removable():
     # the new-vertex test is sound only if each minimum-degree vertex of a
     # class undoes some 0- or 1-extension
     for n in range(3, 9):
-        for g in enumerate_minimally_rigid(n):
+        for g in next(minimally_rigid_levels(n, n))[1]:
             degrees = g.degrees()
             assert min(degrees) in (2, 3)
             for y, d in enumerate(degrees):
                 if d == 2:
-                    assert laman_check(_delete_vertex(g, y))
+                    h = _delete_vertex(g, y)
+                    assert rigidity_verdict(h).minimally_rigid
                 elif d == 3:
                     assert any(
-                        laman_check(_delete_vertex(g.with_edge(a, b), y))
+                        rigidity_verdict(
+                            _delete_vertex(g.with_edge(a, b), y)
+                        ).minimally_rigid
                         for a, b in combinations(sorted(g.adj[y]), 2)
-                        if not g.has_edge(a, b))
+                        if b not in g.adj[a])
 
 
 def test_enumeration_n9_count_and_radius_maximiser():
     # OEIS A227117 counts the classes; the hub pair is the unique maximiser
-    graphs = enumerate_minimally_rigid(9)
+    graphs = next(minimally_rigid_levels(9, 9))[1]
     assert len(graphs) == 7222
     rhos = [spectral_radius(g) for g in graphs]
     best = max(range(len(graphs)), key=rhos.__getitem__)
