@@ -6,8 +6,10 @@
 #
 # BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
 # sweeps at their README defaults (JSON, and CSV where the subcommand has
-# --format) and `analyze` on the benchmark's seeded corpora
-# (perfbench/corpora.py, seeds 1-2, JSON and CSV, --jobs 1 and 2).
+# --format), `extremal --delta 9 --nmax 40 --seed 5`, and `analyze` on the
+# benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
+# 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
+# and 2).
 # Prints one line per run and exits 1 when any run differs.
 set -euo pipefail
 
@@ -36,9 +38,14 @@ runs=(
     "family-sweep --links 2 --clique-min 3 --clique-max 12 --nmax 60"
     "extremal --delta 6 --nmax 26"
     "extremal --delta 6 --nmax 26 --format csv"
+    "extremal --delta 9 --nmax 40 --seed 5"
 )
 for name in corpus-small corpus-dense corpus-sparse; do
-    for seed in 1 2; do
+    seeds="1 2"
+    if [ "$name" = corpus-dense ]; then
+        seeds="1 2 3 4 5"
+    fi
+    for seed in $seeds; do
         corpus="$work/$name-$seed.g6"
         python3 - "$repo/perfbench" "$name" "$seed" > "$corpus" <<'EOF'
 import sys

@@ -22,7 +22,8 @@ class Graph6Error(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertex set {0, ..., n-1}."""
 
-    __slots__ = ("n", "edges", "adj", "_hash")
+    # _lex, the edges in lexicographic order, is filled on first use
+    __slots__ = ("n", "edges", "adj", "_hash", "_lex")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -53,8 +54,14 @@ class Graph:
         return len(self.edges)
 
     def edge_list(self) -> list[Edge]:
-        """Edges as sorted pairs in lexicographic order (deterministic)."""
-        return sorted(self.edges)
+        """Edges as sorted pairs in lexicographic order (deterministic), as
+        a fresh list; the sort runs once per graph."""
+        try:
+            lex = self._lex
+        except AttributeError:
+            lex = tuple(sorted(self.edges))
+            object.__setattr__(self, "_lex", lex)
+        return list(lex)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

@@ -33,6 +33,15 @@ Edge = tuple[int, int]
 # rejecting edges after the rank reaches 2n-3, because their circuits count
 # too, and stops early only once every basis edge is covered; rank-only
 # callers stop at 2n-3.
+#
+# Each R is kept as a covered tight set: all its basis edges lie in a
+# circuit.  Two tight sets sharing at least two vertices have a tight union
+# with no basis edge between their differences, so the union is covered
+# too, and sets are merged whenever they share two vertices.  Accepting an
+# edge never adds a basis edge inside a tight set, so the sets stay tight
+# and covered.  An edge xy with both ends in one covered set T is rejected
+# without a search: its circuit lies in the minimal tight set through x and
+# y, which lies inside T, so the circuit covers nothing new.
 
 
 @dataclass(frozen=True)
@@ -48,49 +57,52 @@ class PebbleGame:
         return len(self.basis)
 
 
-def _find_pebble(root: int, blocked: tuple[int, int], peb: list[int],
-                 out: list[set[int]]) -> bool:
-    """Pull one pebble to `root` along reversed orientation paths.
+def _draw_pebble(u: int, v: int, peb: list[int],
+                 out: list[set[int]]) -> Optional[set[int]]:
+    """Pull one free pebble onto u or v along reversed orientation paths.
 
-    Blocked vertices cannot donate a pebble but may be traversed.
+    Searches from u and then from v with one seen set that starts as
+    {u, v}, so neither end donates.  Returns None once a pebble moved, and
+    otherwise the seen set, which is then the out-edge closure of {u, v}.
     """
-    seen = {root}
-    parent: dict[int, int] = {}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in out[x]:
-            if y in seen:
-                continue
-            seen.add(y)
-            parent[y] = x
-            if y not in blocked and peb[y] > 0:
-                peb[y] -= 1
-                peb[root] += 1
-                cur = y
-                while cur != root:
-                    p = parent[cur]
-                    out[p].discard(cur)
-                    out[cur].add(p)
-                    cur = p
-                return True
-            stack.append(y)
-    return False
-
-
-def _cover_circuit(u: int, v: int, out: list[set[int]],
-                   uncovered: set[Edge]) -> None:
-    """Drop from `uncovered` the accepted edges inside the out-edge closure
-    of {u, v}, i.e. the basis part of a rejected uv's fundamental circuit."""
     seen = {u, v}
-    stack = [u, v]
-    while stack:
-        x = stack.pop()
-        for y in out[x]:
-            uncovered.discard((x, y) if x < y else (y, x))
-            if y not in seen:
+    parent: dict[int, int] = {}
+    for root in (u, v):
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if y in seen:
+                    continue
                 seen.add(y)
+                parent[y] = x
+                if peb[y]:
+                    peb[y] -= 1
+                    peb[root] += 1
+                    while y != root:
+                        p = parent[y]
+                        out[p].discard(y)
+                        out[y].add(p)
+                        y = p
+                    return None
                 stack.append(y)
+    return seen
+
+
+def _add_tight(tight: list[int], r: int) -> list[int]:
+    """The covered tight sets (vertex bitmasks) with r added, every set
+    sharing at least two vertices with r merged into it."""
+    while True:
+        keep = []
+        for t in tight:
+            if (t & r).bit_count() > 1:
+                r |= t
+            else:
+                keep.append(t)
+        if len(keep) == len(tight):
+            keep.append(r)
+            return keep
+        tight = keep
 
 
 def _run_pebble_game(n: int, edge_seq: Sequence[Edge],
@@ -100,22 +112,31 @@ def _run_pebble_game(n: int, edge_seq: Sequence[Edge],
     out: list[set[int]] = [set() for _ in range(n)]
     accepted: list[Edge] = []
     uncovered: set[Edge] = set()
+    tight: list[int] = []
     cap = max(0, 2 * n - 3)
     for u, v in edge_seq:
         if len(accepted) == cap and not uncovered:
             break
-        while peb[u] + peb[v] < 4:
-            if not (_find_pebble(u, (u, v), peb, out)
-                    or _find_pebble(v, (u, v), peb, out)):
-                break
-        if peb[u] + peb[v] >= 4:
-            peb[u] -= 1
-            out[u].add(v)
-            accepted.append((u, v))
-            if coloops:
-                uncovered.add((u, v) if u < v else (v, u))
-        elif coloops:
-            _cover_circuit(u, v, out, uncovered)
+        if peb[u] + peb[v] < 4:
+            ends = 1 << u | 1 << v
+            if any((t & ends) == ends for t in tight):
+                continue
+            closure = None
+            while closure is None and peb[u] + peb[v] < 4:
+                closure = _draw_pebble(u, v, peb, out)
+            if closure is not None:
+                if coloops:
+                    for x in closure:
+                        for y in out[x]:
+                            uncovered.discard((x, y) if x < y else (y, x))
+                tight = _add_tight(tight, sum(1 << x for x in closure))
+                continue
+        # spend v's pebble: in lexicographic order the next edges are u's
+        peb[v] -= 1
+        out[v].add(u)
+        accepted.append((u, v))
+        if coloops:
+            uncovered.add((u, v) if u < v else (v, u))
     if not coloops:
         return PebbleGame(accepted, None)
     return PebbleGame(

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import fields
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,7 +68,11 @@ REPORT_KEYS = (
 RIGIDITY_KEYS = tuple(f.name for f in fields(RigidityVerdict))
 
 
+@cache
 def _threshold(n: int, delta: int, links: int) -> Optional[float]:
+    """The two-clique radius rho(linked_cliques(n, delta + 1, links)), or
+    None outside the family.  Cached: a corpus holds few distinct
+    (n, delta) pairs."""
     a = delta + 1
     if not 1 <= a <= n - 1:
         return None

@@ -13,9 +13,11 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from rigidspec import (Graph, Placement, VertexPartition,
+from rigidspec import (Graph, PebbleGame, Placement, VertexPartition,
                        packing_condition_holds, rigidity, write_graph6)
 from rigidspec.graphcore import _adjacency_masks, _check_subset
+
+Edge = tuple[int, int]
 
 
 # -- counting and rigidity by definition ----------------------------------
@@ -109,6 +111,88 @@ def brute_sparse_rank(g: Graph) -> int:
             counts[idx] += 1
             rank += 1
     return rank
+
+
+# -- the pebble game with one search per end -----------------------------
+#
+# The game as it stood before the shared search and the covered tight sets:
+# a rejected edge costs a failed search from each end and then a third
+# traversal of the same closure to cover its circuit.  The fast game must
+# give the same basis and coloops for every insertion order.
+
+
+def _find_pebble(root: int, blocked: tuple[int, int], peb: list[int],
+                 out: list[set[int]]) -> bool:
+    """Pull one pebble to `root` along reversed orientation paths.
+
+    Blocked vertices cannot donate a pebble but may be traversed.
+    """
+    seen = {root}
+    parent: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            if y in seen:
+                continue
+            seen.add(y)
+            parent[y] = x
+            if y not in blocked and peb[y] > 0:
+                peb[y] -= 1
+                peb[root] += 1
+                cur = y
+                while cur != root:
+                    p = parent[cur]
+                    out[p].discard(cur)
+                    out[cur].add(p)
+                    cur = p
+                return True
+            stack.append(y)
+    return False
+
+
+def _cover_circuit(u: int, v: int, out: list[set[int]],
+                   uncovered: set[Edge]) -> None:
+    """Drop from `uncovered` the accepted edges inside the out-edge closure
+    of {u, v}, i.e. the basis part of a rejected uv's fundamental circuit."""
+    seen = {u, v}
+    stack = [u, v]
+    while stack:
+        x = stack.pop()
+        for y in out[x]:
+            uncovered.discard((x, y) if x < y else (y, x))
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+
+
+def reference_pebble_game(n: int, edge_seq: Sequence[Edge],
+                          coloops: bool = True) -> PebbleGame:
+    """Basis for the given insertion order, and its coloops if asked."""
+    peb = [2] * n
+    out: list[set[int]] = [set() for _ in range(n)]
+    accepted: list[Edge] = []
+    uncovered: set[Edge] = set()
+    cap = max(0, 2 * n - 3)
+    for u, v in edge_seq:
+        if len(accepted) == cap and not uncovered:
+            break
+        while peb[u] + peb[v] < 4:
+            if not (_find_pebble(u, (u, v), peb, out)
+                    or _find_pebble(v, (u, v), peb, out)):
+                break
+        if peb[u] + peb[v] >= 4:
+            peb[u] -= 1
+            out[u].add(v)
+            accepted.append((u, v))
+            if coloops:
+                uncovered.add((u, v) if u < v else (v, u))
+        elif coloops:
+            _cover_circuit(u, v, out, uncovered)
+    if not coloops:
+        return PebbleGame(accepted, None)
+    return PebbleGame(
+        accepted, [e for e in accepted if (min(e), max(e)) in uncovered])
 
 
 # -- packing inequality over every partition ------------------------------

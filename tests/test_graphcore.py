@@ -46,6 +46,18 @@ def test_graph_is_immutable():
         g.n = 5
 
 
+def test_edge_list_is_a_fresh_copy_of_the_edges_sorted_once():
+    g = Graph(5, [(3, 4), (0, 2), (1, 0), (4, 2)])
+    edges = g.edge_list()
+    assert edges == [(0, 1), (0, 2), (2, 4), (3, 4)]
+    lex = g._lex
+    random.Random(4).shuffle(edges)
+    edges.pop()
+    assert g.edge_list() == [(0, 1), (0, 2), (2, 4), (3, 4)]
+    assert g.edge_list() is not g.edge_list()
+    assert g._lex is lex  # sorted once per graph
+
+
 def test_handshake_on_random_graphs():
     rng = random.Random(11)
     for _ in range(50):

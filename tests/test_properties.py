@@ -1,5 +1,6 @@
 """Property tests: graph6 round trip, connectivity and reports invariant
-under vertex relabelling, and pebble rank against numeric rank."""
+under vertex relabelling, pebble rank against numeric rank, and the pebble
+game against its one-search-per-end oracle."""
 import random
 
 import pytest
@@ -19,7 +20,9 @@ from rigidspec import (  # noqa: E402
     vertex_connectivity,
     write_graph6,
 )
+from rigidspec.rigidity import _run_pebble_game  # noqa: E402
 from rigidspec.verify import REPORT_TOL  # noqa: E402
+from oracles import reference_pebble_game  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -86,3 +89,19 @@ def test_pebble_rank_matches_numeric_rank(g, seed):
     """The pebble game's rank is the rigidity matrix's rank at a random,
     hence generic, placement."""
     assert pebble_rank(g) == numeric_rank(g, random_placement(g.n, seed))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(graphs(0, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_pebble_game_matches_reference_game(g, seed, coloops):
+    """Same basis and coloops as the game that searches from each end in
+    turn and traverses each rejected edge's closure a third time, for any
+    insertion order and orientation of the edges."""
+    rng = random.Random(seed)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in g.edge_list()]
+    rng.shuffle(edges)
+    fast = _run_pebble_game(g.n, edges, coloops=coloops)
+    slow = reference_pebble_game(g.n, edges, coloops=coloops)
+    assert fast.basis == slow.basis
+    assert fast.coloops == slow.coloops

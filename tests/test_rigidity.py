@@ -41,6 +41,7 @@ from oracles import (
     brute_minimally_rigid,
     canonical_form,
     canonical_graph,
+    reference_pebble_game,
 )
 
 # census of minimally rigid graphs per order, from the published tables
@@ -70,6 +71,58 @@ def test_pebble_rank_order_independence():
         for _ in range(25):
             rng.shuffle(edges)
             assert _run_pebble_game(g.n, edges).rank == base
+
+
+def _assert_games_agree(g, orders=20, seed=0):
+    """The pebble game and the reference game give the same basis and
+    coloops in the sorted order and in shuffled orders, with and without
+    coloops.  Returns the sorted-order game."""
+    rng = random.Random(seed)
+    edges = g.edge_list()
+    for _ in range(orders + 1):
+        for coloops in (True, False):
+            fast = _run_pebble_game(g.n, edges, coloops=coloops)
+            slow = reference_pebble_game(g.n, edges, coloops=coloops)
+            assert (fast.basis, fast.coloops) == (slow.basis, slow.coloops), \
+                (g, edges, coloops)
+        rng.shuffle(edges)
+    return _run_pebble_game(g.n, g.edge_list())
+
+
+def test_pebble_game_keeps_tight_sets_meeting_in_one_vertex_apart():
+    # two K4s share vertex 3; each is tight, but their union is not, so the
+    # bridge 0-4 must still be searched for and accepted
+    k4s = [(u, v) for block in ((0, 1, 2, 3), (3, 4, 5, 6))
+           for u, v in combinations(block, 2)]
+    g = Graph(7, k4s + [(0, 4)])
+    game = _assert_games_agree(g, orders=40)
+    assert game.rank == 11 and game.coloops == [(0, 4)]
+    # bridge last: both K4s are already covered tight sets
+    game = _run_pebble_game(7, k4s + [(0, 4)])
+    assert (0, 4) in game.basis and game.coloops == [(0, 4)]
+
+
+@pytest.mark.parametrize("n,a,links", [
+    (16, 7, 2), (16, 7, 3), (12, 5, 2), (12, 5, 3), (20, 8, 3), (9, 3, 3),
+])
+def test_pebble_game_on_two_clique_graphs(n, a, links):
+    g = linked_cliques(n, a, links)
+    game = _assert_games_agree(g, seed=n * a + links)
+    # two links leave one degree of freedom, three make it rigid; with a
+    # small clique larger than a triangle the links are its only coloops
+    assert game.rank == 2 * n - 3 - (links == 2)
+    if links == 3 and a > 3:
+        assert set(game.coloops) == {(j, a + j) for j in range(3)}
+
+
+def test_pebble_game_on_k33_and_a_wheel():
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    game = _assert_games_agree(k33, orders=40)
+    assert game.rank == 9 and set(game.coloops) == k33.edges
+    wheel = Graph(7, [(0, k) for k in range(1, 7)]
+                  + [(k, k % 6 + 1) for k in range(1, 7)])
+    game = _assert_games_agree(wheel, orders=40)
+    assert game.rank == 11 and game.coloops == []
 
 
 def test_pebble_rank_monotone_under_edge_addition():

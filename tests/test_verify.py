@@ -42,6 +42,7 @@ from rigidspec.verify import (
     REPORT_KEYS,
     _is_hub_pair,
     _isomorphic_to_family,
+    _threshold,
 )
 from conftest import random_graph
 from oracles import canonical_form
@@ -186,6 +187,46 @@ def test_consistency_on_connected_class_corpus(connected_class_reps_upto6):
     reports = [analyze_graph(g) for g in connected_class_reps_upto6]
     assert len(reports) == 143
     assert all(report_is_consistent(r) for r in reports)
+
+
+def test_cached_threshold_is_bit_identical_to_the_closed_form():
+    _threshold.cache_clear()
+    for n in range(2, 81):
+        for delta in range(n):
+            a = delta + 1
+            for links in (2, 3):
+                if a <= n - 1 and links <= min(a, n - a):
+                    # a == links takes the eigensolve fallback
+                    fresh = linked_cliques_rho(n, a, links)
+                else:
+                    fresh = None
+                for _ in ("cold", "warm"):
+                    thr = _threshold(n, delta, links)
+                    assert thr == fresh and type(thr) is type(fresh), \
+                        (n, delta, links)
+    assert _threshold.cache_info().hits == _threshold.cache_info().misses
+
+
+def test_analyze_lines_same_bytes_with_cold_and_warm_threshold_cache():
+    rng = random.Random(12)
+    graphs = [linked_cliques(n, a, links)
+              for n, a, links in [(16, 7, 2), (16, 7, 3), (20, 7, 3),
+                                  (9, 3, 3), (12, 5, 2)]]
+    graphs += [random_graph(rng, rng.randint(8, 24), rng.uniform(0.3, 0.9))
+               for _ in range(40)]
+    lines = [write_graph6(g) for g in graphs]
+
+    def serialised():
+        reports, errors = analyze_lines(lines)
+        assert not errors
+        return "\n".join(json_stable(r) for r in reports)
+
+    _threshold.cache_clear()
+    cold = serialised()
+    misses = _threshold.cache_info().misses
+    warm = serialised()
+    assert _threshold.cache_info().misses == misses  # all read from cache
+    assert cold == warm
 
 
 def test_json_stable_formatting():
