@@ -5,9 +5,9 @@ after construction so they can be shared freely across worker processes.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cache
 from itertools import combinations
+from operator import index
 from typing import AnyStr, Callable, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
@@ -19,60 +19,68 @@ class Graph6Error(ValueError):
     """Malformed graph6 text."""
 
 
-class Graph:
-    """Immutable simple undirected graph on vertex set {0, ..., n-1}."""
+def _members(mask: int) -> list[int]:
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    # _lex, the edges in lexicographic order, is filled on first use
-    __slots__ = ("n", "edges", "adj", "_hash", "_lex")
+
+class Graph:
+    """Immutable simple undirected graph on vertex set {0, ..., n-1}.
+
+    The adjacency is stored once, as int bitmasks: adj[v] has bit w set for
+    every neighbour w of v.  Edge lists, degrees and matrices are read from
+    the masks.
+    """
+
+    __slots__ = ("n", "m", "adj", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        norm = set()
+        adj = [0] * n
         for u, v in edges:
+            # a numpy integer would wrap in the shifts below
+            u, v = index(u), index(v)
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            norm.add((u, v) if u < v else (v, u))
-        adj = [set() for _ in range(n)]
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(norm))
-        object.__setattr__(self, "adj", tuple(frozenset(a) for a in adj))
-        object.__setattr__(self, "_hash", hash((n, self.edges)))
+        object.__setattr__(self, "m", sum(a.bit_count() for a in adj) // 2)
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_hash", hash((n, self.adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return Graph, (self.n, self.edge_list())
+
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
     def edge_list(self) -> list[Edge]:
-        """Edges as sorted pairs in lexicographic order (deterministic), as
-        a fresh list; the sort runs once per graph."""
-        try:
-            lex = self._lex
-        except AttributeError:
-            lex = tuple(sorted(self.edges))
-            object.__setattr__(self, "_lex", lex)
-        return list(lex)
+        """Edges as sorted pairs in lexicographic order, as a fresh list."""
+        # -(2 << u) keeps the bits above u, the neighbours w > u
+        return [(u, w) for u, a in enumerate(self.adj)
+                for w in _members(a & -(2 << u))]
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self.adj]
+        return [a.bit_count() for a in self.adj]
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min degree undefined for the empty graph")
-        return min(len(a) for a in self.adj)
+        return min(self.degrees())
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -80,28 +88,32 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, list(self.edges) + [(u, v)])
+        return Graph(self.n, self.edge_list() + [(u, v)])
 
     def without_edge(self, u: int, v: int) -> "Graph":
         e = (u, v) if u < v else (v, u)
-        if e not in self.edges:
+        edges = self.edge_list()
+        if e not in edges:
             raise ValueError(f"edge {e} not present")
-        return Graph(self.n, self.edges - {e})
+        edges.remove(e)
+        return Graph(self.n, edges)
 
     def with_vertex(self, neighbors: Iterable[int] = ()) -> "Graph":
         """New graph with one extra vertex labelled n, joined to `neighbors`."""
         w = self.n
-        return Graph(w + 1, list(self.edges) + [(x, w) for x in neighbors])
+        return Graph(w + 1, self.edge_list() + [(x, w) for x in neighbors])
 
     # -- linear algebra views ---------------------------------------------
 
     def adjacency_matrix(self):
         import numpy as np
 
-        a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
+        # row v is adj[v] as little-endian bytes, unpacked to one bit a column
+        k = (self.n + 7) // 8
+        rows = b"".join(a.to_bytes(k, "little") for a in self.adj)
+        bits = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, k)
+        bits = np.unpackbits(bits, axis=1, count=self.n, bitorder="little")
+        return bits.astype(float)
 
     def laplacian_matrix(self):
         import numpy as np
@@ -115,22 +127,19 @@ class Graph:
         return len(self.components()) <= 1
 
     def components(self) -> list[frozenset[int]]:
-        seen = [False] * self.n
+        """Vertex sets of the components, in order of least vertex."""
         out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = {s}
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for y in self.adj[x]:
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.add(y)
-                        queue.append(y)
-            out.append(frozenset(comp))
+        left = (1 << self.n) - 1
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                grown = 0
+                for x in _members(frontier):
+                    grown |= self.adj[x]
+                frontier = grown & ~comp
+                comp |= frontier
+            left ^= comp
+            out.append(frozenset(_members(comp)))
         return out
 
     # -- identity ---------------------------------------------------------
@@ -139,7 +148,7 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.adj == other.adj
         )
 
     def __hash__(self):
@@ -197,6 +206,12 @@ def complete_split_graph(n: int) -> Graph:
 # x(0,3), ..., packed big-endian six bits per byte, each byte offset by 63.
 
 
+# _G6_BITS[c] spells the six body bits of byte c + 63, most significant
+# first, and _G6_BYTE maps the spelling back to the byte
+_G6_BITS = [format(c, "06b") for c in range(64)]
+_G6_BYTE = {bits: c + 63 for c, bits in enumerate(_G6_BITS)}
+
+
 def _g6_parse_n(data: bytes) -> tuple[int, int]:
     """Return (n, offset of the bit body).  Rejects non-minimal headers."""
     if not data:
@@ -246,20 +261,17 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(
             f"body length {len(body)} != expected {nbytes} for n={n}"
         )
-    bits = 0
-    for b in body:
-        bits = (bits << 6) | (b - 63)
-    pad = nbytes * 6 - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = "".join([_G6_BITS[b - 63] for b in body])
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    bits >>= pad
     edges = []
-    pos = nbits
     for v in range(1, n):
-        for u in range(v):
-            pos -= 1
-            if bits >> pos & 1:
-                edges.append((u, v))
+        # column v holds x(0,v) ... x(v-1,v)
+        col = bits[v * (v - 1) // 2:v * (v + 1) // 2]
+        u = col.find("1")
+        while u >= 0:
+            edges.append((u, v))
+            u = col.find("1", u + 1)
     return Graph(n, edges)
 
 
@@ -272,18 +284,12 @@ def write_graph6(g: Graph) -> str:
         head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError(f"n={n} too large for this writer")
-    nbits = n * (n - 1) // 2
-    bits = 0
-    for v in range(1, n):
-        row = g.adj[v]
-        for u in range(v):
-            bits = (bits << 1) | (1 if u in row else 0)
-    pad = -nbits % 6
-    bits <<= pad
-    body = bytearray()
-    for k in range((nbits + pad) // 6 - 1, -1, -1):
-        body.append((bits >> 6 * k & 63) + 63)
-    return (head + bytes(body)).decode("ascii")
+    # column v lists v's neighbours u < v, bit u at position u
+    bits = "".join([format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+                    for v in range(1, n)])
+    bits += "0" * (-len(bits) % 6)
+    body = bytes([_G6_BYTE[bits[i:i + 6]] for i in range(0, len(bits), 6)])
+    return (head + body).decode("ascii")
 
 
 def iter_graph6_lines(
@@ -342,10 +348,11 @@ class VertexPartition:
         object.__setattr__(self, "parts", tuple(norm))
         object.__setattr__(self, "n_trivial", len(trivial))
         object.__setattr__(self, "n_nontrivial", len(norm) - len(trivial))
+        zmask = sum(1 << v for v in zset)
         zadj = 0
         for p in trivial:
             (v,) = p
-            zadj += len(graph.adj[v] & zset)
+            zadj += (graph.adj[v] & zmask).bit_count()
         object.__setattr__(self, "z_adjacency", zadj)
 
     def __setattr__(self, name, value):
@@ -362,17 +369,12 @@ def partition_cut(g: Graph, vp: VertexPartition) -> int:
     """Edges of g - Z whose endpoints lie in different parts of vp."""
     if vp.graph != g:
         raise ValueError("partition was built for a different graph")
-    where = {}
-    for idx, p in enumerate(vp.parts):
-        for v in p:
-            where[v] = idx
-    count = 0
-    for u, v in g.edges:
-        iu = where.get(u)
-        iv = where.get(v)
-        if iu is not None and iv is not None and iu != iv:
-            count += 1
-    return count
+    masks = [sum(1 << v for v in p) for p in vp.parts]
+    rest = sum(masks)
+    # each crossing edge is seen once from either end
+    crossing = sum((g.adj[v] & rest & ~mask).bit_count()
+                   for p, mask in zip(vp.parts, masks) for v in p)
+    return crossing // 2
 
 
 # -- vertex connectivity --------------------------------------------------
@@ -382,11 +384,6 @@ def partition_cut(g: Graph, vp: VertexPartition) -> int:
 # Minimising over a standard pair family yields kappa(G).
 
 SplitNetwork = tuple[list[int], list[int], list[list[int]], dict[Edge, int]]
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    """masks[v] has bit w set for every neighbour w of v."""
-    return [sum(1 << w for w in a) for a in g.adj]
 
 
 def _split_network(g: Graph) -> SplitNetwork:
@@ -420,7 +417,8 @@ def _split_network(g: Graph) -> SplitNetwork:
     return heads, caps, out, arc
 
 
-def _seed_paths(masks: list[int], s: int, t: int, limit: int) -> list[list[int]]:
+def _seed_paths(masks: Sequence[int], s: int, t: int,
+                limit: int) -> list[list[int]]:
     """Up to `limit` internally disjoint s-t paths, s and t non-adjacent.
 
     Each round runs a layered BFS from s over the adjacency bitmasks,
@@ -474,7 +472,7 @@ def _seed_paths(masks: list[int], s: int, t: int, limit: int) -> list[list[int]]
 
 
 def _flow(
-    masks: list[int],
+    masks: Sequence[int],
     network: Callable[[], SplitNetwork],
     s: int,
     t: int,
@@ -535,10 +533,10 @@ def _connectivity(g: Graph, limit: int) -> int:
     any minimum cut misses some vertex of N[u0] or separates two
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
     degree, the running best starts at min(delta, limit), since kappa <=
-    delta off the complete graph, and caps every later flow.  The
-    adjacency bitmasks are built once per graph for seeding; the split
-    network is built on the first pair whose seeding stalls below the
-    running best, and never when no pair does.
+    delta off the complete graph, and caps every later flow.  Seeding
+    reads the graph's adjacency bitmasks; the split network is built on
+    the first pair whose seeding stalls below the running best, and never
+    when no pair does.
     """
     n = g.n
     if g.is_complete():
@@ -547,15 +545,13 @@ def _connectivity(g: Graph, limit: int) -> int:
         return 0
     u0 = min(range(n), key=g.degree)
     best = min(g.degree(u0), limit)
-    masks = _adjacency_masks(g)
+    adj = g.adj
     network = cache(lambda: _split_network(g))
-    closed = g.adj[u0] | {u0}
-    for v in range(n):
-        if v not in closed:
-            best = _flow(masks, network, u0, v, best)
-    for x, y in combinations(sorted(g.adj[u0]), 2):
-        if y not in g.adj[x]:
-            best = _flow(masks, network, x, y, best)
+    for v in _members(((1 << n) - 1) & ~adj[u0] & ~(1 << u0)):
+        best = _flow(adj, network, u0, v, best)
+    for x, y in combinations(_members(adj[u0]), 2):
+        if not adj[x] >> y & 1:
+            best = _flow(adj, network, x, y, best)
     return best
 
 

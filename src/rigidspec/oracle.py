@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphcore import Graph, VertexPartition, partition_cut
+from .graphcore import Graph, VertexPartition, _members, partition_cut
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -105,24 +105,24 @@ def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list
     yield [[v] for v in rest]
     # without its edges each Z vertex is a singleton component; the rest
     # are the components of g - Z, in order of least vertex
-    g_z = Graph(g.n, [e for e in g.edges if zset.isdisjoint(e)])
+    g_z = Graph(g.n, [e for e in g.edge_list() if zset.isdisjoint(e)])
     comps = [sorted(c) for c in g_z.components() if not c <= zset]
     if len(comps) > 1:
         yield comps
-    restset = set(rest)
+    restmask = sum(1 << v for v in rest)
     for v in rest:
-        block = sorted((g.adj[v] & restset) | {v})
-        other = sorted(restset - set(block))
-        if other:
-            yield [block, other]
+        block = g.adj[v] & restmask | 1 << v
+        if restmask & ~block:
+            yield [_members(block), _members(restmask & ~block)]
     for v in rest:
-        clique = [v]
+        # greedy clique: common holds the vertices adjacent to all of it
+        clique, common = 1 << v, g.adj[v]
         for w in rest:
-            if w != v and all(w in g.adj[x] for x in clique):
-                clique.append(w)
-        other = sorted(restset - set(clique))
-        if other:
-            yield [sorted(clique), other]
+            if common >> w & 1:
+                clique |= 1 << w
+                common &= g.adj[w]
+        if restmask & ~clique:
+            yield [_members(clique), _members(restmask & ~clique)]
 
 
 def packing_violation_search(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .graphcore import Graph, _adjacency_masks, is_k_connected, write_graph6
+from .graphcore import Graph, _members, is_k_connected, write_graph6
 
 Edge = tuple[int, int]
 
@@ -216,15 +216,6 @@ def rigidity_verdict(g: Graph,
 CANONICAL_NODE_BUDGET = 200_000
 
 
-def _members(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
     """Colours of each round of neighbourhood refinement from one colour,
     ending with the stable colours.  A round's signature leads with the
@@ -400,7 +391,7 @@ def minimally_rigid_levels(nmin: int,
         if n > 2:
             found = set()
             for g in level:
-                for child in _extensions(_adjacency_masks(g)):
+                for child in _extensions(g.adj):
                     colour = _leading_colours(child)
                     if colour is not None:
                         found.add(_canonical_rows(child, colour))

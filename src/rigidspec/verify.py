@@ -19,6 +19,7 @@ import numpy as np
 from .graphcore import (
     Graph,
     Graph6Error,
+    _members,
     iter_graph6_lines,
     linked_cliques,
     parse_graph6,
@@ -89,12 +90,13 @@ def _isomorphic_to_family(g: Graph, links: int) -> bool:
     clique off the links, so that clique is N[u0]."""
     degs = g.degrees()
     u0 = degs.index(min(degs))
-    small = g.adj[u0] | {u0}
+    small = g.adj[u0] | 1 << u0
     cross = 0
-    for part in (small, frozenset(range(g.n)) - small):
-        for v in part:
-            out = len(g.adj[v] - part)
-            if out > 1 or degs[v] - out != len(part) - 1:
+    for part in (small, ((1 << g.n) - 1) ^ small):
+        size = part.bit_count()
+        for v in _members(part):
+            out = (g.adj[v] & ~part).bit_count()
+            if out > 1 or degs[v] - out != size - 1:
                 return False
             cross += out
     return cross == 2 * links

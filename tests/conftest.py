@@ -40,7 +40,7 @@ def to_networkx(g):
 
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges)
+    h.add_edges_from(g.edge_list())
     return h
 
 
@@ -63,7 +63,7 @@ def henneberg_graph(rng, n):
 
 
 def with_random_edges(rng, g, count):
-    missing = [e for e in vertex_pairs(g.n) if e not in g.edges]
+    missing = [(u, v) for u, v in vertex_pairs(g.n) if not g.adj[u] >> v & 1]
     for e in rng.sample(missing, min(count, len(missing))):
         g = g.with_edge(*e)
     return g

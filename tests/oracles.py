@@ -15,7 +15,8 @@ import numpy as np
 
 from rigidspec import (Graph, PebbleGame, Placement, VertexPartition,
                        packing_condition_holds, rigidity, write_graph6)
-from rigidspec.graphcore import _adjacency_masks, _check_subset
+from rigidspec.graphcore import (GRAPH6_HEADER, Graph6Error, _check_subset,
+                                 _g6_parse_n)
 
 Edge = tuple[int, int]
 
@@ -31,13 +32,13 @@ def boundary_size(g: Graph, subset: Iterable[int]) -> int:
     fs = _check_subset(g, subset)
     if not fs or len(fs) == g.n:
         raise ValueError("subset must be nonempty and proper")
-    return sum(1 for u, v in g.edges if (u in fs) != (v in fs))
+    return sum(1 for u, v in g.edge_list() if (u in fs) != (v in fs))
 
 
 def induced_edge_count(g: Graph, subset: Iterable[int]) -> int:
     """Number of edges with both endpoints in `subset` (0 for empty subsets)."""
     fs = _check_subset(g, subset)
-    return sum(1 for u, v in g.edges if u in fs and v in fs)
+    return sum(1 for u, v in g.edge_list() if u in fs and v in fs)
 
 
 def cut_size_law_holds(g: Graph, subset: Iterable[int]) -> bool:
@@ -77,7 +78,7 @@ def brute_minimally_rigid(g: Graph) -> bool:
         raise ValueError(f"exhaustive check capped at n=10, got n={n}")
     if g.m != 2 * n - 3:
         return False
-    emasks = [(1 << u) | (1 << v) for u, v in g.edges]
+    emasks = [(1 << u) | (1 << v) for u, v in g.edge_list()]
     for x in range(1 << n):
         size = x.bit_count()
         if size < 2:
@@ -111,6 +112,71 @@ def brute_sparse_rank(g: Graph) -> int:
             counts[idx] += 1
             rank += 1
     return rank
+
+
+# -- graph6 with one big int, shifted a bit at a time ---------------------
+
+
+def reference_parse_graph6(line: str) -> Graph:
+    """Decode one graph6 line.  Strict: trailing garbage or bad padding is an error."""
+    s = line.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise Graph6Error("empty graph6 string")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ascii byte in graph6 string: {exc}") from None
+    for i, b in enumerate(data):
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"byte {b!r} at position {i} outside graph6 range")
+    n, off = _g6_parse_n(data)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    body = data[off:]
+    if len(body) != nbytes:
+        raise Graph6Error(
+            f"body length {len(body)} != expected {nbytes} for n={n}"
+        )
+    bits = 0
+    for b in body:
+        bits = (bits << 6) | (b - 63)
+    pad = nbytes * 6 - nbits
+    if pad and bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits")
+    bits >>= pad
+    edges = []
+    pos = nbits
+    for v in range(1, n):
+        for u in range(v):
+            pos -= 1
+            if bits >> pos & 1:
+                edges.append((u, v))
+    return Graph(n, edges)
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """Encode a graph as a single graph6 line (no trailing newline)."""
+    n = g.n
+    if n <= 62:
+        head = bytes([n + 63])
+    elif n <= 258047:
+        head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    else:
+        raise ValueError(f"n={n} too large for this writer")
+    nbits = n * (n - 1) // 2
+    bits = 0
+    for v in range(1, n):
+        row = g.adj[v]
+        for u in range(v):
+            bits = (bits << 1) | (row >> u & 1)
+    pad = -nbits % 6
+    bits <<= pad
+    body = bytearray()
+    for k in range((nbits + pad) // 6 - 1, -1, -1):
+        body.append((bits >> 6 * k & 63) + 63)
+    return (head + bytes(body)).decode("ascii")
 
 
 # -- the pebble game with one search per end -----------------------------
@@ -259,8 +325,7 @@ def canonical_graph(g: Graph) -> Graph:
     the search exceeds rigidity.CANONICAL_NODE_BUDGET nodes."""
     if g.n <= 1:
         return g
-    adj = _adjacency_masks(g)
-    rows = rigidity._canonical_rows(adj, _refine_classes(adj))
+    rows = rigidity._canonical_rows(g.adj, _refine_classes(g.adj))
     return rigidity._graph_from_rows(rows)
 
 
@@ -315,8 +380,8 @@ def quotient_matrix(g: Graph,
     equitable = True
     for i, ci in enumerate(norm):
         for j, cj in enumerate(norm):
-            cj_set = set(cj)
-            counts = [len(g.adj[u] & cj_set) for u in ci]
+            cj_mask = sum(1 << v for v in cj)
+            counts = [(g.adj[u] & cj_mask).bit_count() for u in ci]
             if len(set(counts)) > 1:
                 equitable = False
             entries[i, j] = sum(counts) / len(ci)

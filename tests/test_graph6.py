@@ -13,6 +13,7 @@ from rigidspec import (
 )
 from rigidspec.graphcore import iter_graph6_lines
 from conftest import random_graph, to_networkx
+from oracles import reference_parse_graph6
 
 
 def test_known_encodings():
@@ -58,7 +59,8 @@ def test_agreement_with_networkx():
         theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert ours == theirs
         back = nx.from_graph6_bytes(ours.encode())
-        assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))
+        assert (set(map(frozenset, back.edges()))
+                == set(map(frozenset, g.edge_list())))
 
 
 def test_malformed_inputs_rejected():
@@ -92,3 +94,47 @@ def test_iter_graph6_lines_numbers_and_blanks():
     lines = ["Bw\n", "\n", "  \n", "A_\n", "?"]
     out = list(iter_graph6_lines(lines))
     assert out == [(1, "Bw"), (4, "A_"), (5, "?")]
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except Exception as exc:  # the two codecs must fail alike
+        return type(exc), str(exc)
+
+
+def test_mutated_lines_decode_as_the_reference_does():
+    rng = random.Random(606)
+    alphabet = [chr(c) for c in range(60, 130)] + ["\xe9", " ", "\n"]
+    failures = 0
+    for _ in range(3000):
+        g = random_graph(rng, rng.randint(0, 80), rng.random())
+        chars = list(write_graph6(g))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(chars) + 1)
+            edit = rng.randrange(3)
+            if edit == 0 and k < len(chars):
+                chars[k] = rng.choice(alphabet)
+            elif edit == 1 and k < len(chars):
+                del chars[k]
+            else:
+                chars.insert(k, rng.choice(alphabet))
+        mutated = "".join(chars)
+        got = _outcome(parse_graph6, mutated)
+        assert got == _outcome(reference_parse_graph6, mutated), mutated
+        failures += not isinstance(got, Graph)
+    # both outcomes occur often enough to compare
+    assert 300 < failures < 2700
+
+
+def test_eight_byte_headers():
+    # ~~ then n in six 6-bit digits: n = 258048 = 63 << 12 is the least
+    # order that needs the long form
+    with pytest.raises(Graph6Error,
+                       match="body length 0 != expected .* for n=258048$"):
+        parse_graph6("~~???~??")
+    for line in ("~~??????", "~~???}~~"):  # n = 0 and n = 258047
+        with pytest.raises(Graph6Error, match="non-minimal length header"):
+            parse_graph6(line)
+    with pytest.raises(Graph6Error, match="truncated length header"):
+        parse_graph6("~~???~?")

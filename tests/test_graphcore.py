@@ -1,4 +1,6 @@
 """Graph construction, cut counting, and vertex connectivity."""
+import copy
+import pickle
 import random
 from collections import deque
 from functools import partial
@@ -18,7 +20,7 @@ from rigidspec import (
     vertex_connectivity,
 )
 from rigidspec import graphcore
-from rigidspec.graphcore import _adjacency_masks, _flow, _seed_paths
+from rigidspec.graphcore import _flow, _seed_paths
 from conftest import (
     all_labeled_graphs,
     henneberg_graph,
@@ -37,7 +39,11 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         Graph(-1)
     g = Graph(3, [(1, 0), (0, 1)])
-    assert g.m == 1 and 1 in g.adj[0] and 0 in g.adj[1]
+    assert g.m == 1 and g.adj[0] >> 1 & 1 and g.adj[1] & 1
+    # numpy integers are taken by value, not shifted at fixed width
+    np = pytest.importorskip("numpy")
+    g = Graph(70, [(np.int64(0), np.int64(65))])
+    assert g.edge_list() == [(0, 65)] and type(g.adj[0]) is int
 
 
 def test_graph_is_immutable():
@@ -46,16 +52,28 @@ def test_graph_is_immutable():
         g.n = 5
 
 
-def test_edge_list_is_a_fresh_copy_of_the_edges_sorted_once():
-    g = Graph(5, [(3, 4), (0, 2), (1, 0), (4, 2)])
-    edges = g.edge_list()
-    assert edges == [(0, 1), (0, 2), (2, 4), (3, 4)]
-    lex = g._lex
-    random.Random(4).shuffle(edges)
-    edges.pop()
-    assert g.edge_list() == [(0, 1), (0, 2), (2, 4), (3, 4)]
-    assert g.edge_list() is not g.edge_list()
-    assert g._lex is lex  # sorted once per graph
+def test_edge_list_reads_the_masks_in_lexicographic_order():
+    rng = random.Random(4)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        pairs = [(u, v) for u, v in combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(given)
+        g = Graph(n, given + given[:3])
+        edges = g.edge_list()
+        assert edges == sorted(pairs) == sorted(edges)
+        assert g.m == len(edges)
+        assert g.edge_list() is not edges  # a fresh list each call
+        edges.clear()
+        assert g.edge_list() == sorted(pairs)
+
+
+def test_graph_copies_and_pickles_to_an_equal_graph():
+    for g in (Graph(0), Graph(3, [(0, 1)]), linked_cliques(16, 7, 2)):
+        for h in (copy.copy(g), copy.deepcopy(g),
+                  pickle.loads(pickle.dumps(g))):
+            assert h == g and hash(h) == hash(g)
 
 
 def test_handshake_on_random_graphs():
@@ -68,7 +86,7 @@ def test_handshake_on_random_graphs():
 def test_edge_operations():
     g = complete_graph(4)
     h = g.without_edge(0, 1)
-    assert h.m == 5 and 1 not in h.adj[0]
+    assert h.m == 5 and not h.adj[0] >> 1 & 1
     assert h.with_edge(0, 1) == g
     with pytest.raises(ValueError):
         h.without_edge(0, 1)
@@ -80,7 +98,7 @@ def test_linked_cliques_structure():
     g = linked_cliques(16, 7, 2)
     assert g.n == 16 and g.m == 59
     assert g.min_degree() == 6
-    assert 7 in g.adj[0] and 8 in g.adj[1] and 9 not in g.adj[2]
+    assert g.adj[0] >> 7 & 1 and g.adj[1] >> 8 & 1 and not g.adj[2] >> 9 & 1
     assert induced_edge_count(g, range(7)) == 21
     assert induced_edge_count(g, range(7, 16)) == 36
 
@@ -199,7 +217,7 @@ def test_vertex_connectivity_exhaustive_vs_networkx():
     for n in range(2, 6):
         for g in all_labeled_graphs(n):
             h = to_networkx(g)
-            assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges
+            assert vertex_connectivity(g) == nx.node_connectivity(h), g.edge_list()
 
 
 def test_vertex_connectivity_random_vs_networkx():
@@ -228,7 +246,7 @@ def _local_connectivity_by_definition(g, s, t):
     for v in range(g.n):
         if v not in (s, t):
             add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
+    for u, v in g.edge_list():
         add(2 * u + 1, 2 * v, g.n)
         add(2 * v + 1, 2 * u, g.n)
     src, snk = 2 * s + 1, 2 * t
@@ -296,34 +314,34 @@ def test_pair_flow_matches_definition(monkeypatch):
             n = rng.randint(8, 25)
             p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
             g = random_graph(rng, n, p)
-            yield g, [e for e in combinations(range(n), 2)
-                      if e not in g.edges]
+            yield g, [(u, v) for u, v in combinations(range(n), 2)
+                      if not g.adj[u] >> v & 1]
         for _ in range(8):
             g = random_graph(rng, rng.randint(30, 60), rng.uniform(0.5, 0.9))
-            missing = [e for e in combinations(range(g.n), 2)
-                       if e not in g.edges]
+            missing = [(u, v) for u, v in combinations(range(g.n), 2)
+                       if not g.adj[u] >> v & 1]
             yield g, rng.sample(missing, 30)
         for g in (TRAP, _bouquet(4)):
-            yield g, [e for e in combinations(range(g.n), 2)
-                      if e not in g.edges]
+            yield g, [(u, v) for u, v in combinations(range(g.n), 2)
+                      if not g.adj[u] >> v & 1]
 
     pairs = 0
     for g, sample in corpus():
         if g is TRAP:
             assert builds, "no random pair needed the residual step"
-        masks = _adjacency_masks(g)
+        masks = g.adj
         network = partial(graphcore._split_network, g)
         for s, t in sample:
             expect = _local_connectivity_by_definition(g, s, t)
-            assert _flow(masks, network, s, t, g.n) == expect, (g.edges, s, t)
-            assert _flow(masks, network, t, s, g.n) == expect, (g.edges, t, s)
+            assert _flow(masks, network, s, t, g.n) == expect, (g.edge_list(), s, t)
+            assert _flow(masks, network, t, s, g.n) == expect, (g.edge_list(), t, s)
             cap = rng.randint(0, expect + 1)
             assert _flow(masks, network, s, t, cap) == min(cap, expect)
             assert _flow(masks, network, t, s, cap) == min(cap, expect)
             pairs += 1
     assert pairs > 1200
     for g, s, t, expect in ((TRAP, 0, 4, 2), (_bouquet(4), 0, 1, 1)):
-        masks = _adjacency_masks(g)
+        masks = g.adj
         assert len(_seed_paths(masks, s, t, g.n)) == 1
         builds.clear()
         network = partial(graphcore._split_network, g)
@@ -336,7 +354,7 @@ def _check_seeded_paths(g, s, t, paths):
     inner = set()
     for path in paths:
         assert path[0] == s and path[-1] == t, path
-        assert all(b in g.adj[a] for a, b in zip(path, path[1:])), path
+        assert all(g.adj[a] >> b & 1 for a, b in zip(path, path[1:])), path
         assert len(set(path)) == len(path), path
         assert not inner & set(path[1:-1]), path
         inner |= set(path[1:-1])
@@ -352,13 +370,13 @@ def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
               for _ in range(3)]
     big = random_graph(random.Random(150), 150, 0.6)
     for g in graphs + [big]:
-        masks = _adjacency_masks(g)
+        masks = g.adj
         for s, t in combinations(range(g.n), 2):
-            if t not in g.adj[s]:
+            if not masks[s] >> t & 1:
                 _check_seeded_paths(g, s, t, _seed_paths(masks, s, t, g.n))
     for g in graphs:
         h = to_networkx(g)
-        assert vertex_connectivity(g) == nx.node_connectivity(h), g.edges
+        assert vertex_connectivity(g) == nx.node_connectivity(h), g.edge_list()
     builds = _count_network_builds(monkeypatch)
     assert vertex_connectivity(big) == 73
     assert builds == []
@@ -367,7 +385,7 @@ def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
 def _relabelled(rng, g):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
 
 
 def _connectivity_corpus(rng):
@@ -411,7 +429,7 @@ def _connectivity_corpus(rng):
         g = random_graph(rng, a, rng.uniform(0.3, 0.95))
         h = random_graph(rng, n - a, rng.uniform(0.3, 0.95))
         graphs.append(_relabelled(rng, Graph(
-            n, list(g.edges) + [(x + a, y + a) for x, y in h.edges])))
+            n, g.edge_list() + [(x + a, y + a) for x, y in h.edge_list()])))
     for n in range(10, 41, 3):
         graphs.append(_relabelled(
             rng, Graph(n, [(i, i + 1) for i in range(n - 1)])))
@@ -425,9 +443,9 @@ def test_connectivity_at_benchmark_sizes_vs_networkx():
     for g in graphs:
         h = to_networkx(g)
         kappa = nx.node_connectivity(h)
-        assert vertex_connectivity(g) == kappa, g.edges
+        assert vertex_connectivity(g) == kappa, g.edge_list()
         for k in range(7):
-            assert is_k_connected(g, k) == (g.n > k and kappa >= k), (k, g.edges)
+            assert is_k_connected(g, k) == (g.n > k and kappa >= k), (k, g.edge_list())
 
 
 def test_is_k_connected_thresholds():
@@ -444,3 +462,16 @@ def test_components():
     g = Graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = {frozenset(c) for c in g.components()}
     assert comps == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})}
+
+
+def test_adjacency_matrix_matches_the_edge_by_edge_fill():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(70)
+    for n in [0, 1, 7, 8, 9, 16, 17] + [rng.randint(2, 70) for _ in range(30)]:
+        g = random_graph(rng, n, rng.random())
+        ref = np.zeros((n, n))
+        for u, v in g.edge_list():
+            ref[u, v] = ref[v, u] = 1.0
+        a = g.adjacency_matrix()
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        assert a.tobytes() == ref.tobytes(), g.edge_list()

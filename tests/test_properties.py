@@ -1,6 +1,7 @@
-"""Property tests: graph6 round trip, connectivity and reports invariant
-under vertex relabelling, pebble rank against numeric rank, and the pebble
-game against its one-search-per-end oracle."""
+"""Property tests: graph6 round trip against the bit-shifting codec,
+connectivity and reports invariant under vertex relabelling, pebble rank
+against numeric rank, and the pebble game against its one-search-per-end
+oracle."""
 import random
 
 import pytest
@@ -22,7 +23,11 @@ from rigidspec import (  # noqa: E402
 )
 from rigidspec.rigidity import _run_pebble_game  # noqa: E402
 from rigidspec.verify import REPORT_TOL  # noqa: E402
-from oracles import reference_pebble_game  # noqa: E402
+from oracles import (  # noqa: E402
+    reference_parse_graph6,
+    reference_pebble_game,
+    reference_write_graph6,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -42,7 +47,7 @@ def graphs(draw, min_n, max_n):
 def relabelled_pairs(draw, min_n, max_n):
     g = draw(graphs(min_n, max_n))
     perm = draw(st.permutations(range(g.n)))
-    return g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return g, Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
 
 
 @PROPERTY
@@ -54,6 +59,14 @@ def test_graph6_round_trip(g):
     assert (line[0] == "~") == (g.n >= 63)
     assert parse_graph6(line) == g
     assert write_graph6(parse_graph6(line)) == line
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(graphs(63, 300))
+def test_graph6_long_header_round_trip_matches_reference(g):
+    line = write_graph6(g)
+    assert line == reference_write_graph6(g)
+    assert parse_graph6(line) == reference_parse_graph6(line) == g
 
 
 @PROPERTY

@@ -128,8 +128,8 @@ def _family_oracle_graph(rng):
             edges += [(j, a + j) for j in range(links)]
     g = Graph(n, edges)
     if kind == "added":
-        non = [e for e in itertools.combinations(range(n), 2)
-               if e not in g.edges]
+        non = [(u, v) for u, v in itertools.combinations(range(n), 2)
+               if not g.adj[u] >> v & 1]
         g = g.with_edge(*rng.choice(non))
     elif kind == "deleted":
         g = g.without_edge(*rng.choice(g.edge_list()))
@@ -137,8 +137,8 @@ def _family_oracle_graph(rng):
         el = g.edge_list()
         while True:
             (u, v), (x, y) = rng.sample(el, 2)
-            if (len({u, v, x, y}) == 4 and y not in g.adj[u]
-                    and v not in g.adj[x]):
+            if (len({u, v, x, y}) == 4 and not g.adj[u] >> y & 1
+                    and not g.adj[x] >> v & 1):
                 break
         g = g.without_edge(u, v).without_edge(x, y)
         g = g.with_edge(u, y).with_edge(x, v)
