@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run two rigidspec source trees on the same inputs and compare stdout and
-# exit codes byte for byte.
+# Run two rigidspec source trees on the same inputs and compare stdout,
+# stderr and exit codes byte for byte.
 #
 #   scripts/compare_outputs.sh BASE_SRC HEAD_SRC
 #
@@ -9,7 +9,9 @@
 # --format), `extremal --delta 9 --nmax 40 --seed 5`, and `analyze` on the
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
 # 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
-# and 2).
+# and 2), and on a corpus of bad lines read from a file and from stdin
+# (JSON and CSV, --jobs 1 and 2).  Every run reads stdin from /dev/null
+# unless its last word is `<FILE`.
 # Prints one line per run and exits 1 when any run differs.
 set -euo pipefail
 
@@ -63,19 +65,36 @@ EOF
     done
 done
 
+# a good line and a blank line, then the empty graph, a short body, a
+# non-ASCII byte, a line that only str.strip empties, and a good line
+bad="$work/bad-lines.g6"
+printf 'Bw\n\n?\nA_x\nB\xe9\n\x1c\nCw\n' > "$bad"
+for jobs in 1 2; do
+    for format in json csv; do
+        runs+=("analyze $bad --jobs $jobs --format $format"
+               "analyze - --jobs $jobs --format $format <$bad")
+    done
+done
+
 differ=0
 for k in "${!runs[@]}"; do
     read -r -a args <<< "${runs[$k]}"
+    input=/dev/null
+    if [[ "${args[-1]}" == "<"* ]]; then
+        input=${args[-1]#<}
+        unset 'args[-1]'
+    fi
     for side in base head; do
         src=$base
         [ "$side" = head ] && src=$head
         code=0
         env -u RIGIDSPEC_SEED PYTHONPATH="$src" \
-            python3 -m rigidspec.cli "${args[@]}" \
-            > "$work/$k.$side.out" 2> /dev/null || code=$?
+            python3 -m rigidspec.cli "${args[@]}" < "$input" \
+            > "$work/$k.$side.out" 2> "$work/$k.$side.err" || code=$?
         echo "$code" > "$work/$k.$side.code"
     done
     if cmp -s "$work/$k.base.out" "$work/$k.head.out" \
+            && cmp -s "$work/$k.base.err" "$work/$k.head.err" \
             && cmp -s "$work/$k.base.code" "$work/$k.head.code"; then
         echo "same    (exit $(cat "$work/$k.head.code")) ${runs[$k]//"$work/"/}"
     else

@@ -47,11 +47,11 @@ from .verify import (
     analyze_lines,
     extremal_family_report,
     family_sweep_report,
+    flatten_report,
     json_stable,
     laman_extremal_report,
     report_is_consistent,
-    reports_to_csv,
-    rows_to_csv,
+    write_csv,
 )
 
 __version__ = "0.1.0"

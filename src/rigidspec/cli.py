@@ -16,18 +16,20 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .verify import (
+    CSV_COLUMNS,
     REPORT_TOL,
     analyze_lines,
     extremal_family_report,
     family_sweep_report,
+    flatten_report,
     json_stable,
     laman_extremal_report,
     report_is_consistent,
-    reports_to_csv,
-    rows_to_csv,
+    write_csv,
 )
 
 ENV_SEED = "RIGIDSPEC_SEED"
@@ -91,29 +93,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args, out) -> int:
+    """Write each report, and each bad line to stderr, as soon as its line
+    is done; 2 on any bad line, else 1 on any inconsistent report, else 0."""
     # raw bytes, so that a non-ASCII byte fails only its own line
-    if args.path == "-":
-        lines = getattr(sys.stdin, "buffer", sys.stdin).readlines()
-    else:
-        try:
-            with open(args.path, "rb") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            print(f"cannot read {args.path}: {exc}", file=sys.stderr)
-            return 2
-    reports, errors = analyze_lines(lines, tol=args.tol, jobs=args.jobs)
-    if args.format == "csv":
-        out.write(reports_to_csv(reports))
-    else:
-        for r in reports:
-            out.write(json_stable(r) + "\n")
-    for err in errors:
-        print(err, file=sys.stderr)
-    if errors:
+    try:
+        corpus = (nullcontext(sys.stdin.buffer) if args.path == "-"
+                  else open(args.path, "rb"))
+    except OSError as exc:
+        print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
-    if any(not report_is_consistent(r) for r in reports):
-        return 1
-    return 0
+    code = 0
+
+    def reports(lines):
+        nonlocal code
+        for report, err in analyze_lines(lines, args.tol, args.jobs):
+            if err is None:
+                code = max(code, 0 if report_is_consistent(report) else 1)
+                yield report
+            else:
+                print(err, file=sys.stderr)
+                code = 2
+
+    with corpus as lines:
+        if args.format == "csv":
+            write_csv(out, CSV_COLUMNS, map(flatten_report, reports(lines)))
+        else:
+            for r in reports(lines):
+                out.write(json_stable(r) + "\n")
+    return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -141,7 +148,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        out.write(rows_to_csv(list(report["rows"][0]), report["rows"]))
+        write_csv(out, list(report["rows"][0]), report["rows"])
     else:
         out.write(json_stable(report) + "\n")
     return 0 if report["ok"] else 1

@@ -210,6 +210,7 @@ def complete_split_graph(n: int) -> Graph:
 # first, and _G6_BYTE maps the spelling back to the byte
 _G6_BITS = [format(c, "06b") for c in range(64)]
 _G6_BYTE = {bits: c + 63 for c, bits in enumerate(_G6_BITS)}
+_G6_RANGE = bytes(range(63, 127))
 
 
 def _g6_parse_n(data: bytes) -> tuple[int, int]:
@@ -250,9 +251,10 @@ def parse_graph6(line: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error(f"non-ascii byte in graph6 string: {exc}") from None
-    for i, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} at position {i} outside graph6 range")
+    if data.translate(None, _G6_RANGE):  # some byte lies outside 63..126
+        for i, b in enumerate(data):
+            if not 63 <= b <= 126:
+                raise Graph6Error(f"byte {b!r} at position {i} outside graph6 range")
     n, off = _g6_parse_n(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

@@ -7,12 +7,11 @@ drives the sweep jobs exposed by the command line.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import fields
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -231,82 +230,71 @@ def _csv_cell(v) -> str:
     return v if isinstance(v, str) else json_stable(v)
 
 
-def rows_to_csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
-    """CSV with a header of `columns`; cells as json_stable writes them
-    (lowercase booleans, floats at 12 significant digits), None empty."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+def write_csv(out: TextIO, columns: Sequence[str],
+              rows: Iterable[dict]) -> None:
+    """Write a header of `columns` to `out`, then each row as it comes;
+    cells as json_stable writes them (lowercase booleans, floats at 12
+    significant digits), None empty."""
+    w = csv.writer(out, lineterminator="\n")
     w.writerow(columns)
     for r in rows:
         w.writerow([_csv_cell(r[c]) for c in columns])
-    return buf.getvalue()
 
 
-def reports_to_csv(reports: Sequence[dict]) -> str:
-    """Reports as CSV, the rigidity verdict spread over rigidity_* columns."""
-    return rows_to_csv(CSV_COLUMNS, (
-        {**r, **{f"rigidity_{k}": v for k, v in r["rigidity"].items()}}
-        for r in reports))
+def flatten_report(report: dict) -> dict:
+    """A report with its rigidity verdict spread over rigidity_* keys, the
+    row that CSV_COLUMNS reads."""
+    return {**report, **{f"rigidity_{k}": v
+                         for k, v in report["rigidity"].items()}}
 
 
 # -- corpus analysis ------------------------------------------------------
 
 
-def _analyze_payload(payload: tuple[int, str | bytes, float]):
-    lineno, text, tol = payload
+def _analyze_line(item: tuple[int, bytes, float]):
+    """(report, None) for one corpus line, or (None, "line N: ...")."""
+    lineno, raw, tol = item
     try:
-        if isinstance(text, bytes):
-            text = _decode_line(text)
+        # str.strip also drops \x1c-\x1f, as reading the corpus as text did
+        text = raw.decode("ascii").strip()
         g = parse_graph6(text)
         if g.n < 1:
             raise Graph6Error("empty graph not supported in reports")
-        return lineno, analyze_graph(g, graph6=text, tol=tol), None
-    except (Graph6Error, ValueError) as exc:
-        return lineno, None, f"line {lineno}: {exc}"
-
-
-def _decode_line(raw: bytes) -> str:
-    try:
-        # str.strip also drops \x1c-\x1f, as reading the corpus as text did
-        return raw.decode("ascii").strip()
+        return analyze_graph(g, graph6=text, tol=tol), None
     except UnicodeDecodeError as exc:
-        raise Graph6Error(
-            f"non-ascii byte 0x{raw[exc.start]:02x} at position {exc.start}"
-        ) from None
+        return None, (f"line {lineno}: non-ascii byte 0x{raw[exc.start]:02x}"
+                      f" at position {exc.start}")
+    except (Graph6Error, ValueError) as exc:
+        return None, f"line {lineno}: {exc}"
 
 
 def analyze_lines(
-    lines: Iterable[str | bytes], tol: float = REPORT_TOL, jobs: int = 1
-) -> tuple[list[dict], list[str]]:
-    """Analyze a graph6 corpus, one graph per nonblank line.
-
-    Lines may be text or raw bytes; byte lines are decoded one at a time,
-    so a non-ASCII byte fails only its own line.  Returns (reports in input
-    order, error messages carrying line numbers).
-    """
-    payloads = [(lineno, text, tol)
-                for lineno, text in iter_graph6_lines(lines)]
-    workers = min(jobs, len(payloads))
+    lines: Iterable[bytes], tol: float = REPORT_TOL, jobs: int = 1
+) -> Iterator[tuple[Optional[dict], Optional[str]]]:
+    """Yield (report, None) or (None, "line N: ...") for each nonblank line
+    of a graph6 corpus of raw byte lines, in input order, as soon as that
+    line is done.  One job reads the lines lazily; more read them whole
+    first, so that k < jobs graphs start only k workers."""
+    items = ((lineno, raw, tol) for lineno, raw in iter_graph6_lines(lines))
+    workers = 1
+    if jobs > 1:
+        items = list(items)
+        workers = min(jobs, len(items))
     if workers <= 1:
-        results = list(map(_analyze_payload, payloads))
-    else:
-        # imported here: loading the process pool would slow the start-up
-        # of every serial run
-        from concurrent.futures import ProcessPoolExecutor
+        yield from map(_analyze_line, items)
+        return
+    # imported here: loading the process pool would slow the start-up of
+    # every serial run
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(payloads) // (4 * workers))
-        # the fork start method launches every worker before any work
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_analyze_payload, payloads,
-                                    chunksize=chunk))
-    reports: list[dict] = []
-    errors: list[str] = []
-    for _, report, err in results:
-        if err is not None:
-            errors.append(err)
-        else:
-            reports.append(report)
-    return reports, errors
+    chunk = max(1, len(items) // (4 * workers))
+    # the fork start method launches every worker before any work
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_analyze_line, items, chunksize=chunk)
+    finally:
+        # a generator closed early drops the work not yet started
+        pool.shutdown(cancel_futures=True)
 
 
 # -- sweep drivers --------------------------------------------------------

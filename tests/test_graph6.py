@@ -127,6 +127,18 @@ def test_mutated_lines_decode_as_the_reference_does():
     assert 300 < failures < 2700
 
 
+@pytest.mark.parametrize("line, message", [
+    ("!>>graph6<<Bw", "byte 33 at position 0 outside graph6 range"),
+    ("~?!?", "byte 33 at position 2 outside graph6 range"),
+    ("C!w\x7f", "byte 33 at position 1 outside graph6 range"),
+], ids=["before-header", "in-length-header", "in-body"])
+def test_out_of_range_byte_named_at_its_first_position(line, message):
+    for parse in (parse_graph6, reference_parse_graph6):
+        with pytest.raises(Graph6Error) as exc:
+            parse(line)
+        assert str(exc.value) == message
+
+
 def test_eight_byte_headers():
     # ~~ then n in six 6-bit digits: n = 258048 = 63 << 12 is the least
     # order that needs the long form

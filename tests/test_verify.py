@@ -24,14 +24,15 @@ from rigidspec import (
     cycle_graph,
     extremal_family_report,
     family_sweep_report,
+    flatten_report,
     hong_bound,
     json_stable,
     laman_extremal_report,
     linked_cliques,
     minimally_rigid_levels,
     report_is_consistent,
-    reports_to_csv,
     spectral_radius,
+    write_csv,
     write_graph6,
 )
 import rigidspec
@@ -207,6 +208,13 @@ def test_cached_threshold_is_bit_identical_to_the_closed_form():
     assert _threshold.cache_info().hits == _threshold.cache_info().misses
 
 
+def _split(results):
+    """(reports, errors) from analyze_lines' (report, error) pairs."""
+    results = list(results)
+    return ([r for r, err in results if err is None],
+            [err for _, err in results if err is not None])
+
+
 def test_analyze_lines_same_bytes_with_cold_and_warm_threshold_cache():
     rng = random.Random(12)
     graphs = [linked_cliques(n, a, links)
@@ -214,10 +222,10 @@ def test_analyze_lines_same_bytes_with_cold_and_warm_threshold_cache():
                                   (9, 3, 3), (12, 5, 2)]]
     graphs += [random_graph(rng, rng.randint(8, 24), rng.uniform(0.3, 0.9))
                for _ in range(40)]
-    lines = [write_graph6(g) for g in graphs]
+    lines = [write_graph6(g).encode() for g in graphs]
 
     def serialised():
-        reports, errors = analyze_lines(lines)
+        reports, errors = _split(analyze_lines(lines))
         assert not errors
         return "\n".join(json_stable(r) for r in reports)
 
@@ -252,8 +260,9 @@ def test_json_round_trip_is_byte_stable():
 def test_csv_output_shape():
     reports = [analyze_graph(complete_graph(4)),
                analyze_graph(cycle_graph(5))]
-    text = reports_to_csv(reports)
-    lines = text.strip().split("\n")
+    buf = io.StringIO()
+    write_csv(buf, CSV_COLUMNS, map(flatten_report, reports))
+    lines = buf.getvalue().strip().split("\n")
     assert len(lines) == 3
     header = lines[0].split(",")
     assert header[0] == "graph6" and "rigidity_rank" in header
@@ -262,12 +271,12 @@ def test_csv_output_shape():
 
 def test_analyze_lines_order_and_errors():
     lines = [
-        write_graph6(complete_graph(4)) + "\n",
-        "\n",
-        "!!bad\n",
-        write_graph6(cycle_graph(5)) + "\n",
+        write_graph6(complete_graph(4)).encode() + b"\n",
+        b"\n",
+        b"!!bad\n",
+        write_graph6(cycle_graph(5)).encode() + b"\n",
     ]
-    reports, errors = analyze_lines(lines)
+    reports, errors = _split(analyze_lines(lines))
     assert [r["n"] for r in reports] == [4, 5]
     assert len(errors) == 1 and errors[0].startswith("line 3:")
 
@@ -275,11 +284,12 @@ def test_analyze_lines_order_and_errors():
 def test_analyze_lines_parallel_matches_serial():
     rng = random.Random(223)
     lines = [
-        write_graph6(random_graph(rng, rng.randint(3, 9), rng.random())) + "\n"
+        write_graph6(random_graph(rng, rng.randint(3, 9),
+                                  rng.random())).encode() + b"\n"
         for _ in range(30)
     ]
-    serial, err1 = analyze_lines(lines, jobs=1)
-    parallel, err2 = analyze_lines(lines, jobs=2)
+    serial, err1 = _split(analyze_lines(lines, jobs=1))
+    parallel, err2 = _split(analyze_lines(lines, jobs=2))
     assert err1 == err2 == []
     assert [json_stable(r) for r in serial] == [json_stable(r) for r in parallel]
     assert multiprocessing.active_children() == []
@@ -292,21 +302,40 @@ def test_analyze_lines_pool_capped_at_line_count(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+        def shutdown(self, cancel_futures=False):
+            pass
+
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    lines = ["Bw\n", "\n", "Cw\n", "C~\n"]
-    reports, errors = analyze_lines(lines, jobs=64)
+    lines = [b"Bw\n", b"\n", b"Cw\n", b"C~\n"]
+    reports, errors = _split(analyze_lines(lines, jobs=64))
     assert sizes == [3] and len(reports) == 3 and errors == []
-    reports, _ = analyze_lines(lines[:2], jobs=64)  # one graph: no pool
+    reports, _ = _split(analyze_lines(lines[:2], jobs=64))  # one graph: no pool
     assert sizes == [3] and len(reports) == 1
+
+
+def test_analyze_lines_yields_each_report_before_reading_on():
+    def lines():
+        yield b"\n"
+        yield b"Bw\n"
+        raise AssertionError("read past the first graph")
+
+    report, err = next(analyze_lines(lines(), jobs=1))
+    assert err is None and report["graph6"] == "Bw"
+
+
+def test_closing_parallel_analysis_leaves_no_worker():
+    rng = random.Random(227)
+    lines = [write_graph6(random_graph(rng, rng.randint(20, 30),
+                                       rng.uniform(0.3, 0.9))).encode()
+             for _ in range(200)]
+    results = analyze_lines(lines, jobs=2)
+    report, err = next(results)
+    assert err is None and report["graph6"] == lines[0].decode()
+    results.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_cli_import_leaves_process_pool_unloaded():
@@ -470,6 +499,43 @@ def test_cli_analyze_non_ascii_line(tmp_path, capsys):
     assert [json.loads(r)["graph6"] for r in out] == ["Bw", "Cw"]
 
 
+BAD_CORPUS = b"Bw\n\n?\nA_x\nB\xe9\n\x1c\nCw\n"
+BAD_CORPUS_ERRORS = [
+    "line 3: empty graph not supported in reports",
+    "line 4: body length 2 != expected 1 for n=2",
+    "line 5: non-ascii byte 0xe9 at position 1",
+    "line 6: empty graph6 string",  # str.strip drops \x1c
+]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("from_stdin", [False, True])
+def test_cli_analyze_bad_corpus(tmp_path, monkeypatch, capsys, jobs,
+                                from_stdin):
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(BAD_CORPUS)))
+        source = "-"
+    else:
+        source = tmp_path / "bad.g6"
+        source.write_bytes(BAD_CORPUS)
+    assert cli_main(["analyze", str(source), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == BAD_CORPUS_ERRORS
+    out = captured.out.strip().split("\n")
+    assert [json.loads(r)["graph6"] for r in out] == ["Bw", "Cw"]
+
+
+def test_cli_analyze_bad_line_outranks_inconsistent_report(tmp_path, capsys):
+    g = linked_cliques(16, 7, 2).without_edge(9, 10)
+    path = tmp_path / "mixed.g6"
+    path.write_text(write_graph6(g) + "\nnot graph6!\n")
+    assert cli_main(["analyze", str(path), "--tol", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 2:")
+    assert json.loads(captured.out)["rigid_condition_consistent"] is False
+
+
 def test_cli_analyze_missing_file(capsys):
     assert cli_main(["analyze", "/nonexistent/corpus.g6"]) == 2
 
@@ -506,7 +572,7 @@ def test_cli_extremal_with_seed_env(monkeypatch, capsys):
 
 def test_cli_analyze_ignores_seed_env(monkeypatch, capsys):
     monkeypatch.setenv("RIGIDSPEC_SEED", "abc")
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Bw\n")))
     assert cli_main(["analyze", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 3
 
@@ -532,7 +598,7 @@ def test_cli_bad_parameters(capsys):
 
 
 def test_cli_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Bw\n")))
     assert cli_main(["analyze", "-"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["n"] == 3
