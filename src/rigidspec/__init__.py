@@ -7,7 +7,6 @@ from .graphcore import (
     complete_graph,
     complete_split_graph,
     cycle_graph,
-    is_k_connected,
     iter_graph6_lines,
     linked_cliques,
     parse_graph6,

@@ -8,7 +8,8 @@ Subcommands:
   extremal        structural audit of the two-clique extremal graphs
 
 Exit codes: 0 all checks consistent, 1 a consistency check failed,
-2 invalid input (bad arguments or unparsable corpus lines).
+2 invalid input (bad arguments or unparsable corpus lines), 141 stdout
+closed by its reader before the output was written (as by `| head`).
 """
 from __future__ import annotations
 
@@ -123,16 +124,8 @@ def _cmd_analyze(args, out) -> int:
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "analyze":
-        if not 0 <= args.tol < math.inf:
-            parser.error(f"argument --tol: must be finite and >= 0, "
-                         f"got {args.tol}")
-        if args.jobs < 1:
-            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
-    out = sys.stdout
+def _run(args, out) -> int:
+    """Run the parsed subcommand, writing to out; return its exit code."""
     try:
         if args.command == "analyze":
             return _cmd_analyze(args, out)
@@ -152,6 +145,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         out.write(json_stable(report) + "\n")
     return 0 if report["ok"] else 1
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "analyze":
+        if not 0 <= args.tol < math.inf:
+            parser.error(f"argument --tol: must be finite and >= 0, "
+                         f"got {args.tol}")
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+    try:
+        code = _run(args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: flush what is left to /dev/null at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
+    return code
 
 
 if __name__ == "__main__":

@@ -527,26 +527,28 @@ def _flow(
     return flow
 
 
-def _connectivity(g: Graph, limit: int) -> int:
-    """min(kappa(g), limit) for a graph with at least one vertex.
+def vertex_connectivity(g: Graph) -> int:
+    """Minimum number of vertices whose removal disconnects g (or n-1 for K_n).
 
     For a fixed vertex u0 it suffices to minimise the terminal flow over
     all v outside N[u0] and over all non-adjacent pairs inside N(u0):
     any minimum cut misses some vertex of N[u0] or separates two
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
-    degree, the running best starts at min(delta, limit), since kappa <=
-    delta off the complete graph, and caps every later flow.  Seeding
-    reads the graph's adjacency bitmasks; the split network is built on
-    the first pair whose seeding stalls below the running best, and never
-    when no pair does.
+    degree, the running best starts at delta, since kappa <= delta off
+    the complete graph, and caps every later flow.  Seeding reads the
+    graph's adjacency bitmasks; the split network is built on the first
+    pair whose seeding stalls below the running best, and never when no
+    pair does.
     """
     n = g.n
+    if n <= 1:
+        raise ValueError("connectivity needs at least 2 vertices")
     if g.is_complete():
-        return min(n - 1, limit)
+        return n - 1
     if not g.is_connected():
         return 0
     u0 = min(range(n), key=g.degree)
-    best = min(g.degree(u0), limit)
+    best = g.degree(u0)
     adj = g.adj
     network = cache(lambda: _split_network(g))
     for v in _members(((1 << n) - 1) & ~adj[u0] & ~(1 << u0)):
@@ -555,20 +557,3 @@ def _connectivity(g: Graph, limit: int) -> int:
         if not adj[x] >> y & 1:
             best = _flow(adj, network, x, y, best)
     return best
-
-
-def vertex_connectivity(g: Graph) -> int:
-    """Minimum number of vertices whose removal disconnects g (or n-1 for K_n)."""
-    if g.n <= 1:
-        raise ValueError("connectivity needs at least 2 vertices")
-    return _connectivity(g, g.n - 1)
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """True when g has more than k vertices and no cut of fewer than k vertices.
-
-    The flows stop at k, so exact connectivity is never computed.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return g.n > k and _connectivity(g, k) >= k

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .graphcore import Graph, _members, is_k_connected, write_graph6
+from .graphcore import Graph, _members, write_graph6
 
 Edge = tuple[int, int]
 
@@ -29,10 +29,9 @@ Edge = tuple[int, int]
 # circuit in basis + uv.  A basis edge lies in some circuit exactly when
 # some fundamental circuit covers it (basis exchange), so the basis edges
 # that no rejected edge's R covers are the coloops, the edges whose
-# deletion drops the rank.  When coloops are wanted the game keeps
-# rejecting edges after the rank reaches 2n-3, because their circuits count
-# too, and stops early only once every basis edge is covered; rank-only
-# callers stop at 2n-3.
+# deletion drops the rank.  The game keeps rejecting edges after the rank
+# reaches 2n-3, because their circuits count too, and stops early only
+# once every basis edge is covered.
 #
 # Each R is kept as a covered tight set: all its basis edges lie in a
 # circuit.  Two tight sets sharing at least two vertices have a tight union
@@ -47,10 +46,9 @@ Edge = tuple[int, int]
 @dataclass(frozen=True)
 class PebbleGame:
     """Outcome of one pebble-game pass: the accepted basis, in insertion
-    order, and the basis edges lying in no circuit of the edge set (None
-    when the pass was not asked for them)."""
+    order, and the basis edges lying in no circuit of the edge set."""
     basis: list[Edge]
-    coloops: Optional[list[Edge]]
+    coloops: list[Edge]
 
     @property
     def rank(self) -> int:
@@ -105,9 +103,8 @@ def _add_tight(tight: list[int], r: int) -> list[int]:
         tight = keep
 
 
-def _run_pebble_game(n: int, edge_seq: Sequence[Edge],
-                     coloops: bool = True) -> PebbleGame:
-    """Basis for the given insertion order, and its coloops if asked."""
+def _run_pebble_game(n: int, edge_seq: Sequence[Edge]) -> PebbleGame:
+    """Basis for the given insertion order, and its coloops."""
     peb = [2] * n
     out: list[set[int]] = [set() for _ in range(n)]
     accepted: list[Edge] = []
@@ -125,27 +122,23 @@ def _run_pebble_game(n: int, edge_seq: Sequence[Edge],
             while closure is None and peb[u] + peb[v] < 4:
                 closure = _draw_pebble(u, v, peb, out)
             if closure is not None:
-                if coloops:
-                    for x in closure:
-                        for y in out[x]:
-                            uncovered.discard((x, y) if x < y else (y, x))
+                for x in closure:
+                    for y in out[x]:
+                        uncovered.discard((x, y) if x < y else (y, x))
                 tight = _add_tight(tight, sum(1 << x for x in closure))
                 continue
         # spend v's pebble: in lexicographic order the next edges are u's
         peb[v] -= 1
         out[v].add(u)
         accepted.append((u, v))
-        if coloops:
-            uncovered.add((u, v) if u < v else (v, u))
-    if not coloops:
-        return PebbleGame(accepted, None)
+        uncovered.add((u, v) if u < v else (v, u))
     return PebbleGame(
         accepted, [e for e in accepted if (min(e), max(e)) in uncovered])
 
 
 def pebble_rank(g: Graph) -> int:
     """Rank of the edge set in the generic planar rigidity matroid."""
-    return _run_pebble_game(g.n, g.edge_list(), coloops=False).rank
+    return _run_pebble_game(g.n, g.edge_list()).rank
 
 
 # -- verdict --------------------------------------------------------------
@@ -164,21 +157,18 @@ class RigidityVerdict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def rigidity_verdict(g: Graph,
-                     kappa: Optional[int] = None) -> RigidityVerdict:
+def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
     """All rigidity predicates from one pebble game.  Single vertices count
     as rigid.
 
     Complete graphs on at most 3 vertices are globally rigid outright;
     otherwise the combinatorial characterisation is redundant rigidity plus
-    3-connectivity (Jackson & Jordan 2005), and connectivity is tested only
-    when redundancy holds.  Deleting an edge drops the rank exactly when it
-    is a coloop, so the same game decides redundancy: rank 2n-3 and no
-    coloops.
+    3-connectivity (Jackson & Jordan 2005).  Deleting an edge drops the
+    rank exactly when it is a coloop, so the same game decides redundancy:
+    rank 2n-3 and no coloops.
 
-    `kappa`, the vertex connectivity when the caller already has it, saves
-    recomputing it; it is only consulted for redundantly rigid graphs on at
-    least 4 vertices.
+    `kappa`, the caller's vertex connectivity of g, is trusted, not checked;
+    only redundantly rigid graphs on at least 4 vertices consult it.
     """
     if g.n < 1:
         raise ValueError("verdict needs at least 1 vertex")
@@ -193,8 +183,6 @@ def rigidity_verdict(g: Graph,
         redundant = rigid and not game.coloops
         if n <= 3:
             glob = g.is_complete()
-        elif kappa is None:
-            glob = redundant and is_k_connected(g, 3)
         else:
             glob = redundant and kappa >= 3
     return RigidityVerdict(rank, rigid, minimal, redundant, glob)

@@ -62,6 +62,13 @@ def henneberg_graph(rng, n):
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def relabelled(rng, g):
+    """g under a uniformly random vertex permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
 def with_random_edges(rng, g, count):
     missing = [(u, v) for u, v in vertex_pairs(g.n) if not g.adj[u] >> v & 1]
     for e in rng.sample(missing, min(count, len(missing))):

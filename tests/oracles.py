@@ -13,8 +13,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from rigidspec import (Graph, PebbleGame, Placement, VertexPartition,
-                       packing_condition_holds, rigidity, write_graph6)
+from rigidspec import (Graph, PebbleGame, Placement, RigidityVerdict,
+                       VertexPartition, packing_condition_holds, rigidity,
+                       rigidity_verdict, vertex_connectivity, write_graph6)
 from rigidspec.graphcore import (GRAPH6_HEADER, Graph6Error, _check_subset,
                                  _g6_parse_n)
 
@@ -112,6 +113,12 @@ def brute_sparse_rank(g: Graph) -> int:
             counts[idx] += 1
             rank += 1
     return rank
+
+
+def verdict_of(g: Graph) -> RigidityVerdict:
+    """The rigidity verdict with the connectivity computed here, as the
+    report computes it (0 for a single vertex)."""
+    return rigidity_verdict(g, vertex_connectivity(g) if g.n > 1 else 0)
 
 
 # -- graph6 with one big int, shifted a bit at a time ---------------------
@@ -232,9 +239,8 @@ def _cover_circuit(u: int, v: int, out: list[set[int]],
                 stack.append(y)
 
 
-def reference_pebble_game(n: int, edge_seq: Sequence[Edge],
-                          coloops: bool = True) -> PebbleGame:
-    """Basis for the given insertion order, and its coloops if asked."""
+def reference_pebble_game(n: int, edge_seq: Sequence[Edge]) -> PebbleGame:
+    """Basis for the given insertion order, and its coloops."""
     peb = [2] * n
     out: list[set[int]] = [set() for _ in range(n)]
     accepted: list[Edge] = []
@@ -251,12 +257,9 @@ def reference_pebble_game(n: int, edge_seq: Sequence[Edge],
             peb[u] -= 1
             out[u].add(v)
             accepted.append((u, v))
-            if coloops:
-                uncovered.add((u, v) if u < v else (v, u))
-        elif coloops:
+            uncovered.add((u, v) if u < v else (v, u))
+        else:
             _cover_circuit(u, v, out, uncovered)
-    if not coloops:
-        return PebbleGame(accepted, None)
     return PebbleGame(
         accepted, [e for e in accepted if (min(e), max(e)) in uncovered])
 

@@ -14,7 +14,6 @@ from rigidspec import (
     complete_graph,
     complete_split_graph,
     cycle_graph,
-    is_k_connected,
     linked_cliques,
     partition_cut,
     vertex_connectivity,
@@ -25,6 +24,7 @@ from conftest import (
     all_labeled_graphs,
     henneberg_graph,
     random_graph,
+    relabelled,
     to_networkx,
     with_random_edges,
 )
@@ -382,12 +382,6 @@ def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
     assert builds == []
 
 
-def _relabelled(rng, g):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
-
-
 def _connectivity_corpus(rng):
     """Graphs with 10 <= n <= 40 where the pair flows' seeding and caps
     matter: dense and medium G(n,p), Henneberg graphs with extra edges,
@@ -405,7 +399,7 @@ def _connectivity_corpus(rng):
         delta = rng.randint(6, 9)
         n = rng.randint(2 * delta + 4, 40)
         g = linked_cliques(n, delta + 1, rng.randint(1, 3))
-        graphs.append(_relabelled(rng, g))
+        graphs.append(relabelled(rng, g))
     for _ in range(20):
         # two cliques joined only through a small clique Z whose vertices
         # have the minimum degree: every minimum cut contains u0, so only
@@ -416,22 +410,22 @@ def _connectivity_corpus(rng):
             edges += [(x + lo, y + lo) for x, y in combinations(range(m), 2)]
             edges += [(x, lo + y) for x in range(z)
                       for y in rng.sample(range(m), a)]
-        graphs.append(_relabelled(rng, Graph(z + 2 * m, edges)))
+        graphs.append(relabelled(rng, Graph(z + 2 * m, edges)))
     for n in range(10, 41, 3):
         u, v = rng.sample(range(n), 2)
         graphs.append(complete_graph(n).without_edge(u, v))
         a = rng.randint(1, n - 1)
-        graphs.append(_relabelled(rng, Graph(
+        graphs.append(relabelled(rng, Graph(
             n, [(x, y) for x in range(a) for y in range(a, n)])))
     for _ in range(20):
         n = rng.randint(10, 40)
         a = rng.randint(1, n - 1)
         g = random_graph(rng, a, rng.uniform(0.3, 0.95))
         h = random_graph(rng, n - a, rng.uniform(0.3, 0.95))
-        graphs.append(_relabelled(rng, Graph(
+        graphs.append(relabelled(rng, Graph(
             n, g.edge_list() + [(x + a, y + a) for x, y in h.edge_list()])))
     for n in range(10, 41, 3):
-        graphs.append(_relabelled(
+        graphs.append(relabelled(
             rng, Graph(n, [(i, i + 1) for i in range(n - 1)])))
     return graphs
 
@@ -444,18 +438,6 @@ def test_connectivity_at_benchmark_sizes_vs_networkx():
         h = to_networkx(g)
         kappa = nx.node_connectivity(h)
         assert vertex_connectivity(g) == kappa, g.edge_list()
-        for k in range(7):
-            assert is_k_connected(g, k) == (g.n > k and kappa >= k), (k, g.edge_list())
-
-
-def test_is_k_connected_thresholds():
-    g = complete_graph(4)
-    assert is_k_connected(g, 0) and is_k_connected(g, 3)
-    assert not is_k_connected(g, 4)  # needs more than k vertices
-    assert is_k_connected(cycle_graph(5), 2)
-    assert not is_k_connected(cycle_graph(5), 3)
-    with pytest.raises(ValueError):
-        is_k_connected(g, -1)
 
 
 def test_components():

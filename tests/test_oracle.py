@@ -19,7 +19,6 @@ from rigidspec import (
     pebble_rank,
     random_placement,
     rigidity_matrix,
-    rigidity_verdict,
 )
 from conftest import all_labeled_graphs, random_graph
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     exhaustive_packing_violation,
     set_partitions,
     trivial_motion_space,
+    verdict_of,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -111,7 +111,7 @@ def test_numeric_rank_detects_rigidity():
     ]:
         pl = random_placement(g.n, 5)
         assert (numeric_rank(g, pl) == 2 * g.n - 3) == expect
-        assert rigidity_verdict(g).rigid == expect
+        assert verdict_of(g).rigid == expect
 
 
 def test_brute_sparse_rank_exhaustive_small():
@@ -202,7 +202,7 @@ def test_rigid_graphs_admit_no_violation():
     checked = 0
     for _ in range(120):
         g = random_graph(rng, rng.randint(4, 6), rng.uniform(0.5, 0.95))
-        if not rigidity_verdict(g).rigid:
+        if not verdict_of(g).rigid:
             continue
         assert exhaustive_packing_violation(g, 1, zmax=2) is None
         checked += 1

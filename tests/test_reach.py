@@ -21,8 +21,8 @@ PACKAGE = Path(rigidspec.__file__).resolve().parent
 # the exact quartic evaluation
 ALLOWED = {
     "complete_graph", "cycle_graph", "complete_split_graph", "linked_cliques",
-    "is_k_connected", "Graph.with_edge", "Graph.without_edge",
-    "Graph.with_vertex", "CharQuartic.evaluate_exact",
+    "Graph.with_edge", "Graph.without_edge", "Graph.with_vertex",
+    "CharQuartic.evaluate_exact",
 }
 
 # seeding stalls on the trap graph: the shortest path 0-1-3-4 blocks both

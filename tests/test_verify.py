@@ -526,6 +526,36 @@ def test_cli_analyze_bad_corpus(tmp_path, monkeypatch, capsys, jobs,
     assert [json.loads(r)["graph6"] for r in out] == ["Bw", "Cw"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_analyze_into_closed_pipe(tmp_path, jobs):
+    """As in `analyze CORPUS | head -1`: the reader closes stdout after the
+    first line.  Exit 141, as for SIGPIPE, with nothing on stderr, and no
+    worker outlives the CLI."""
+    corpus = tmp_path / "small.g6"
+    corpus.write_text("Bw\nCw\nDQc\n" * 1000)
+    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    with open(tmp_path / "err", "wb") as err:
+        # a session of its own makes the CLI lead a process group, which
+        # its workers join
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rigidspec.cli", "analyze", str(corpus),
+             "--jobs", jobs],
+            stdout=subprocess.PIPE, stderr=err, stdin=subprocess.DEVNULL,
+            env=env, start_new_session=True)
+        assert json.loads(proc.stdout.readline())["graph6"] == "Bw"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    try:
+        os.killpg(proc.pid, 9)
+    except ProcessLookupError:
+        pass
+    else:
+        pytest.fail("a worker outlived the CLI")
+    assert code == 141
+    assert (tmp_path / "err").read_bytes() == b""
+
+
 def test_cli_analyze_bad_line_outranks_inconsistent_report(tmp_path, capsys):
     g = linked_cliques(16, 7, 2).without_edge(9, 10)
     path = tmp_path / "mixed.g6"
