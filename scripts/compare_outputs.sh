@@ -6,7 +6,8 @@
 #
 # BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
 # sweeps at their README defaults (JSON, and CSV where the subcommand has
-# --format), `extremal --delta 9 --nmax 40 --seed 5`, and `analyze` on the
+# --format), `laman-extremal` up to the largest order it grows (n = 9, JSON
+# and CSV), `extremal --delta 9 --nmax 40 --seed 5`, and `analyze` on the
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
 # 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
 # and 2), and on a corpus of bad lines read from a file and from stdin
@@ -37,6 +38,8 @@ done
 runs=(
     "laman-extremal --nmin 3 --nmax 8"
     "laman-extremal --nmin 3 --nmax 8 --format csv"
+    "laman-extremal --nmin 3 --nmax 9"
+    "laman-extremal --nmin 3 --nmax 9 --format csv"
     "family-sweep --links 2 --clique-min 3 --clique-max 12 --nmax 60"
     "extremal --delta 6 --nmax 26"
     "extremal --delta 6 --nmax 26 --format csv"

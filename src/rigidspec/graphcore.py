@@ -29,6 +29,18 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+def _adjacency_bits(masks: Sequence[Sequence[int]], n: int):
+    """Stacked 0/1 uint8 adjacency matrices of graphs on n vertices, given
+    by their adjacency masks: entry [i, v, w] is bit w of masks[i][v]."""
+    import numpy as np
+
+    # row v is a mask as little-endian bytes, unpacked to one bit a column
+    k = (n + 7) // 8
+    rows = b"".join(a.to_bytes(k, "little") for adj in masks for a in adj)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(masks), n, k)
+    return np.unpackbits(bits, axis=2, count=n, bitorder="little")
+
+
 class Graph:
     """Immutable simple undirected graph on vertex set {0, ..., n-1}.
 
@@ -106,14 +118,7 @@ class Graph:
     # -- linear algebra views ---------------------------------------------
 
     def adjacency_matrix(self):
-        import numpy as np
-
-        # row v is adj[v] as little-endian bytes, unpacked to one bit a column
-        k = (self.n + 7) // 8
-        rows = b"".join(a.to_bytes(k, "little") for a in self.adj)
-        bits = np.frombuffer(rows, dtype=np.uint8).reshape(self.n, k)
-        bits = np.unpackbits(bits, axis=1, count=self.n, bitorder="little")
-        return bits.astype(float)
+        return _adjacency_bits([self.adj], self.n)[0].astype(float)
 
     def laplacian_matrix(self):
         import numpy as np

@@ -7,7 +7,9 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .graphcore import Graph, _members, write_graph6
+import numpy as np
+
+from .graphcore import Graph, _adjacency_bits, _members
 
 Edge = tuple[int, int]
 
@@ -194,7 +196,9 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # label-invariant classes; a class-respecting backtracking search then
 # maximises the upper-triangle bit string, which is exactly the graph6
 # body, so the canonical form doubles as a corpus-ready graph6 line.
-# Both steps read adjacency bitmasks: bit w of adj[v] is the edge vw.
+# Refinement runs in numpy on a stack of 0/1 adjacency matrices, every
+# child of a level at once; the search reads adjacency bitmasks: bit w of
+# adj[v] is the edge vw.
 #
 # The search gives up after CANONICAL_NODE_BUDGET nodes.  Refinement cannot
 # split the vertices of a vertex-transitive graph: the 5-cube takes about
@@ -204,24 +208,40 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 CANONICAL_NODE_BUDGET = 200_000
 
 
-def _refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
-    """Colours of each round of neighbourhood refinement from one colour,
-    ending with the stable colours.  A round's signature leads with the
-    previous colour, so each round's colour order refines the previous
-    round's: colour[u] < colour[v] stays strict in every later round."""
-    nbrs = [_members(a) for a in adj]
-    # the first round from one colour ranks the degrees
-    degree = [len(nb) for nb in nbrs]
-    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
-    colour = [rank[d] for d in degree]
+def _dense_ranks(key: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the distinct values of its row, from 0."""
+    order = np.argsort(key, axis=1)
+    step = np.zeros(key.shape, dtype=np.int64)
+    step[:, 1:] = np.diff(np.take_along_axis(key, order, axis=1), axis=1) != 0
+    ranks = np.empty_like(step)
+    np.put_along_axis(ranks, order, step.cumsum(axis=1), axis=1)
+    return ranks
+
+
+def _stable_colours(adj: np.ndarray) -> np.ndarray:
+    """Stable colours of neighbourhood refinement from one colour, one row
+    per graph of a stack of int64 0/1 adjacency matrices of order n <= 15.
+
+    The first round ranks the degrees.  Each later round ranks the vertices
+    by their colour and then by the sorted colours of their neighbours, so
+    each round's colour order refines the previous round's, and vertices of
+    one colour have one degree.  Two neighbour multisets of one size sort
+    in the order of their counts of each colour, reversed, colour 0 first.
+    So colour * n**n minus the sum of n**(n-1-c) over the neighbours'
+    colours c ranks the vertices the same way: each count is below n, and
+    the sum below n**n.  Ranks are dense, so a round that adds no class
+    repeats its colours, and refinement ends once no row changes.
+    """
+    n = adj.shape[-1]
+    if n > 15:
+        raise ValueError(f"refinement keys overflow int64 at n={n}")
+    weight = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    colour = _dense_ranks(adj.sum(axis=2))
     while True:
-        yield colour
-        sigs = [(colour[v], tuple(sorted(colour[w] for w in nb)))
-                for v, nb in enumerate(nbrs)]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == colour:
-            return
+        spread = np.matmul(adj, weight[colour][:, :, None])[:, :, 0]
+        new = _dense_ranks(colour * np.int64(n) ** n - spread)
+        if np.array_equal(new, colour):
+            return colour
         colour = new
 
 
@@ -235,50 +255,76 @@ def _canonical_rows(adj: Sequence[int],
     upper-triangle bit strings column by column, as graph6 orders them.
     """
     n = len(adj)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colour):
-        classes.setdefault(c, []).append(v)
-    # position k draws from the class scheduled at k
-    schedule = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    order = sorted(range(n), key=colour.__getitem__)
     nbrs = [_members(a) for a in adj]
+    if len(set(colour)) == n:
+        # one vertex per class: the colour order is the relabelling, and
+        # row k keeps the bits of positions before k
+        bit = [0] * n
+        for k, v in enumerate(order):
+            bit[v] = 1 << (n - 1 - k)
+        return tuple(sum([bit[u] for u in nbrs[v]]) >> (n - k) << (n - k)
+                     for k, v in enumerate(order))
+    classes: dict[int, list[int]] = {}
+    for v in order:
+        classes.setdefault(colour[v], []).append(v)
+    # position k draws from the class scheduled at k
+    schedule = [classes[colour[v]] for v in order]
     row = [0] * n  # each vertex's edges to the placed positions
     rows: list[int] = []
     best: list[int] = []
     nodes = 0
 
     def search(k: int, used: int) -> None:
+        # a position with one pick is placed in this loop, not by a call
         nonlocal best, nodes
-        nodes += 1
-        if nodes > CANONICAL_NODE_BUDGET:
-            raise ValueError(
-                f"canonical labelling of a {n}-vertex graph exceeded "
-                f"{CANONICAL_NODE_BUDGET} search nodes")
-        if k == n:
-            if rows > best:
-                best = rows[:]
-            return
-        # prune against the incumbent as soon as the prefix falls behind
-        if rows < best[:k]:
-            return
-        cands = [v for v in schedule[k] if not used >> v & 1]
-        top = max(row[v] for v in cands)
-        # collapse interchangeable candidates: swapping twins is an
-        # automorphism fixing every placed vertex
-        picks: list[int] = []
-        for v in cands:
-            if row[v] == top and not any(
-                    (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
-                    for w in picks):
-                picks.append(v)
-        rows.append(top)
-        bit = 1 << (n - 1 - k)
-        for v in picks:
-            for u in nbrs[v]:
-                row[u] |= bit
-            search(k + 1, used | 1 << v)
+        forced: list[tuple[int, int]] = []
+        while True:
+            nodes += 1
+            if nodes > CANONICAL_NODE_BUDGET:
+                raise ValueError(
+                    f"canonical labelling of a {n}-vertex graph exceeded "
+                    f"{CANONICAL_NODE_BUDGET} search nodes")
+            if k == n:
+                if rows > best:
+                    best = rows[:]
+                break
+            # prune against the incumbent as soon as the prefix falls behind
+            if rows < best[:k]:
+                break
+            picks = [v for v in schedule[k] if not used >> v & 1]
+            top = max([row[v] for v in picks])
+            if len(picks) > 1:
+                # collapse interchangeable candidates: swapping twins is an
+                # automorphism fixing every placed vertex
+                cands, picks = picks, []
+                for v in cands:
+                    if row[v] == top and not any(
+                            (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
+                            for w in picks):
+                        picks.append(v)
+            rows.append(top)
+            bit = 1 << (n - 1 - k)
+            if len(picks) == 1:
+                v = picks[0]
+                for u in nbrs[v]:
+                    row[u] |= bit
+                forced.append((v, bit))
+                k += 1
+                used |= 1 << v
+                continue
+            for v in picks:
+                for u in nbrs[v]:
+                    row[u] |= bit
+                search(k + 1, used | 1 << v)
+                for u in nbrs[v]:
+                    row[u] ^= bit
+            rows.pop()
+            break
+        for v, bit in forced:
             for u in nbrs[v]:
                 row[u] ^= bit
-        rows.pop()
+            rows.pop()
 
     search(0, 0)
     return tuple(best)
@@ -314,14 +360,59 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
 # - Labelling is exact, so the set of canonical rows still deduplicates the
 #   level, and every level holds the same canonical graphs as unfiltered
 #   growth would.
+#
+# The other half of canonical augmentation prunes by the parent's
+# automorphisms.  An automorphism s of the parent P maps the extension at
+# (u, v), or at (edge uv, w), to the one at (s(u), s(v)), or at
+# (edge s(u)s(v), s(w)), and s extended by x -> x is an isomorphism between
+# the two children that fixes x.  So they pass or fail the new-vertex test
+# together and label to the same rows, and one extension per orbit of
+# Aut(P) is enough.  Automorphisms preserve the stable colours, so Aut(P)
+# is found by backtracking inside the colour classes, and is trivial when
+# the colours are discrete.
 
 
-def _extensions(adj: Sequence[int]) -> Iterator[list[int]]:
-    """Adjacency masks of the extensions of a minimally rigid graph whose
-    new vertex can pass the new-vertex test."""
+def _automorphisms(adj: Sequence[int],
+                   colour: Sequence[int]) -> list[list[int]]:
+    """Every automorphism of the graph, as the list of vertex images, found
+    by mapping the vertices in order, each into its own colour class.  The
+    colours must be preserved by every automorphism, as stable refinement
+    colours are."""
     n = len(adj)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    image = [0] * n
+    found: list[list[int]] = []
+
+    def extend(v: int, used: int) -> None:
+        if v == n:
+            found.append(image[:])
+            return
+        # the images of v's neighbours among the vertices already mapped
+        want = sum(1 << image[u] for u in _members(adj[v] & ((1 << v) - 1)))
+        for c in classes[colour[v]]:
+            if not used >> c & 1 and adj[c] & used == want:
+                image[v] = c
+                extend(v + 1, used | 1 << c)
+
+    extend(0, 0)
+    return found
+
+
+def _extensions(adj: Sequence[int],
+                colour: Sequence[int]) -> Iterator[list[int]]:
+    """Adjacency masks of the extensions of a minimally rigid graph whose
+    new vertex can pass the new-vertex test, one per orbit of the graph's
+    automorphism group.  `colour` holds the graph's stable colours."""
+    n = len(adj)
+    auts = _automorphisms(adj, colour) if len(set(colour)) < n else []
     x = 1 << n
+    seen = set()
     for u, v in combinations(range(n), 2):
+        if 1 << u | 1 << v in seen:
+            continue
+        seen.update(1 << s[u] | 1 << s[v] for s in auts)
         child = list(adj)
         child[u] |= x
         child[v] |= x
@@ -333,9 +424,11 @@ def _extensions(adj: Sequence[int]) -> Iterator[list[int]]:
     if len(low) > 1:
         return
     edges = [(u, v) for u in range(n) for v in _members(adj[u]) if u < v]
+    seen = set()
     for u, v in edges:
         for w in low or range(n):
-            if w != u and w != v:
+            if w != u and w != v and (1 << u | 1 << v, w) not in seen:
+                seen.update((1 << s[u] | 1 << s[v], s[w]) for s in auts)
                 child = list(adj)
                 child[u] ^= 1 << v | x
                 child[v] ^= 1 << u | x
@@ -344,23 +437,21 @@ def _extensions(adj: Sequence[int]) -> Iterator[list[int]]:
                 yield child
 
 
-def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
-    """The stable colours when the new vertex passes the new-vertex test
-    (the last vertex has the minimum degree and the largest colour among
-    the minimum-degree vertices), else None.
-
-    Refinement stops at the first round in which a minimum-degree vertex
-    outranks the new vertex: each round's colour order refines the
-    previous round's, so that vertex stays ahead."""
-    degree = [a.bit_count() for a in adj]
-    low = min(degree)
-    if degree[-1] != low:
-        return None
-    rivals = [v for v, d in enumerate(degree) if d == low]
-    for colour in _refinement_rounds(adj):
-        if colour[-1] < max(colour[v] for v in rivals):
-            return None
-    return colour
+def _leading_colours(
+        children: list[list[int]]) -> Iterator[tuple[list[int], list[int]]]:
+    """(child, stable colours) for each child, given by adjacency masks of
+    one order, whose new vertex passes the new-vertex test: the last vertex
+    has the minimum degree and the largest colour among the minimum-degree
+    vertices.  Every child is refined in one stack."""
+    adj = _adjacency_bits(children, len(children[0])).astype(np.int64)
+    colour = _stable_colours(adj)
+    degree = adj.sum(axis=2)
+    low = degree.min(axis=1, keepdims=True)
+    lead = np.where(degree == low, colour, -1).max(axis=1)
+    passes = (degree[:, -1] == low[:, 0]) & (colour[:, -1] == lead)
+    stable = colour.tolist()
+    for i in np.flatnonzero(passes).tolist():
+        yield children[i], stable[i]
 
 
 def minimally_rigid_levels(nmin: int,
@@ -369,20 +460,23 @@ def minimally_rigid_levels(nmin: int,
     graph per class of minimally rigid graphs on n vertices, graph6 sorted.
 
     Grown once from a single edge by degree-2 additions and edge splits,
-    labelling only the children whose new vertex passes the test above.
-    Practical for n <= 9.
+    one per orbit of each parent's automorphisms, labelling only the
+    children whose new vertex passes the test above.  Practical for n <= 9.
     """
     if not 2 <= nmin <= nmax <= 9:
         raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
     level = [Graph(2, [(0, 1)])]
     for n in range(2, nmax + 1):
         if n > 2:
-            found = set()
-            for g in level:
-                for child in _extensions(g.adj):
-                    colour = _leading_colours(child)
-                    if colour is not None:
-                        found.add(_canonical_rows(child, colour))
-            level = [_graph_from_rows(rows) for rows in found]
+            masks = [g.adj for g in level]
+            colours = _stable_colours(
+                _adjacency_bits(masks, n - 1).astype(np.int64)).tolist()
+            children = [child for adj, colour in zip(masks, colours)
+                        for child in _extensions(adj, colour)]
+            found = {_canonical_rows(child, colour)
+                     for child, colour in _leading_colours(children)}
+            # at one order, rows order is graph6 order: both compare the
+            # upper-triangle bit strings column by column
+            level = [_graph_from_rows(rows) for rows in sorted(found)]
         if n >= nmin:
-            yield n, sorted(level, key=write_graph6)
+            yield n, level

@@ -18,6 +18,7 @@ import numpy as np
 from .graphcore import (
     Graph,
     Graph6Error,
+    _adjacency_bits,
     _members,
     iter_graph6_lines,
     linked_cliques,
@@ -308,7 +309,10 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
     rows = []
     ok = True
     for n, graphs in minimally_rigid_levels(nmin, nmax):
-        rhos = [spectral_radius(g) for g in graphs]
+        # one stacked eigensolve: LAPACK runs per matrix, so each value is
+        # the one spectral_radius(g) gives
+        mats = _adjacency_bits([g.adj for g in graphs], n).astype(float)
+        rhos = np.linalg.eigvalsh(mats)[:, -1].tolist()
         best = max(range(len(graphs)), key=rhos.__getitem__)
         expected = complete_split_rho(n)
         near = [i for i, r in enumerate(rhos) if r > rhos[best] - REPORT_TOL]

@@ -17,7 +17,7 @@ from rigidspec import (Graph, PebbleGame, Placement, RigidityVerdict,
                        VertexPartition, packing_condition_holds, rigidity,
                        rigidity_verdict, vertex_connectivity, write_graph6)
 from rigidspec.graphcore import (GRAPH6_HEADER, Graph6Error, _check_subset,
-                                 _g6_parse_n)
+                                 _g6_parse_n, _members)
 
 Edge = tuple[int, int]
 
@@ -313,23 +313,100 @@ def exhaustive_packing_violation(g: Graph, k: int,
 
 
 # -- canonical labelling from the stable colours --------------------------
+#
+# The labelling as the enumeration first shipped it, kept apart from
+# `rigidity` so that the fast labelling is checked against a copy that it
+# cannot change: refinement compares whole colourings to stop, and the
+# search recurses on every pick, forced or not.
+
+
+def reference_refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
+    """Colours of each round of neighbourhood refinement from one colour,
+    ending with the stable colours."""
+    nbrs = [_members(a) for a in adj]
+    degree = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degree)))}
+    colour = [rank[d] for d in degree]
+    while True:
+        yield colour
+        sigs = [(colour[v], tuple(sorted(colour[w] for w in nb)))
+                for v, nb in enumerate(nbrs)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == colour:
+            return
+        colour = new
+
+
+def reference_canonical_rows(adj: Sequence[int],
+                             colour: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the lexicographically largest relabelling that places the
+    colour classes in colour order, by exhaustive class-respecting search
+    with twin collapsing.  Raises ValueError after
+    rigidity.CANONICAL_NODE_BUDGET search nodes."""
+    n = len(adj)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
+    schedule = [classes[c] for c in sorted(classes) for _ in classes[c]]
+    nbrs = [_members(a) for a in adj]
+    row = [0] * n
+    rows: list[int] = []
+    best: list[int] = []
+    nodes = 0
+
+    def search(k: int, used: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > rigidity.CANONICAL_NODE_BUDGET:
+            raise ValueError(
+                f"canonical labelling of a {n}-vertex graph exceeded "
+                f"{rigidity.CANONICAL_NODE_BUDGET} search nodes")
+        if k == n:
+            if rows > best:
+                best = rows[:]
+            return
+        if rows < best[:k]:
+            return
+        cands = [v for v in schedule[k] if not used >> v & 1]
+        top = max(row[v] for v in cands)
+        picks: list[int] = []
+        for v in cands:
+            if row[v] == top and not any(
+                    (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
+                    for w in picks):
+                picks.append(v)
+        rows.append(top)
+        bit = 1 << (n - 1 - k)
+        for v in picks:
+            for u in nbrs[v]:
+                row[u] |= bit
+            search(k + 1, used | 1 << v)
+            for u in nbrs[v]:
+                row[u] ^= bit
+        rows.pop()
+
+    search(0, 0)
+    return tuple(best)
 
 
 def _refine_classes(adj: Sequence[int]) -> list[int]:
     """Stable colours of neighbourhood refinement from one colour.  The
     colours are label-invariant, and their order refines degree order."""
-    *_, colour = rigidity._refinement_rounds(adj)
+    *_, colour = reference_refinement_rounds(adj)
     return colour
 
 
 def canonical_graph(g: Graph) -> Graph:
     """Relabelling of g whose upper-triangle bit string is lexicographically
-    largest among all labellings, computed exactly.  Raises ValueError when
-    the search exceeds rigidity.CANONICAL_NODE_BUDGET nodes."""
+    largest among all labellings, computed exactly by the reference
+    labelling.  Raises ValueError when the search exceeds
+    rigidity.CANONICAL_NODE_BUDGET nodes."""
     if g.n <= 1:
         return g
-    rows = rigidity._canonical_rows(g.adj, _refine_classes(g.adj))
-    return rigidity._graph_from_rows(rows)
+    rows = reference_canonical_rows(g.adj, _refine_classes(g.adj))
+    return Graph(g.n, [(g.n - 1 - b, k) for k, r in enumerate(rows)
+                       for b in _members(r)])
 
 
 def canonical_form(g: Graph) -> str:

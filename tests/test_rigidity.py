@@ -23,7 +23,7 @@ from rigidspec import (
     write_graph6,
 )
 from rigidspec import rigidity
-from rigidspec.graphcore import _members
+from rigidspec.graphcore import _adjacency_bits, _members
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
     all_labeled_graphs,
@@ -41,7 +41,9 @@ from oracles import (
     brute_minimally_rigid,
     canonical_form,
     canonical_graph,
+    reference_canonical_rows,
     reference_pebble_game,
+    reference_refinement_rounds,
     verdict_of,
 )
 
@@ -367,6 +369,46 @@ def test_isomorphism_agrees_with_networkx():
     assert checked_false > 0
 
 
+def _assert_labelling_matches_reference(graphs):
+    """The package's stable colours and canonical rows of graphs of one
+    order, given by adjacency masks, equal the reference labelling's."""
+    adj = _adjacency_bits(graphs, len(graphs[0])).astype(np.int64)
+    for masks, colour in zip(graphs, rigidity._stable_colours(adj).tolist()):
+        assert colour == _refine_classes(masks)
+        assert (rigidity._canonical_rows(masks, colour)
+                == reference_canonical_rows(masks, colour))
+
+
+def test_labelling_matches_reference_on_every_child():
+    # every child that growth to order 8 refined before orbit pruning
+    total = 0
+    for _, graphs in minimally_rigid_levels(2, 7):
+        children = [child for g in graphs
+                    for child in _unpruned_extensions(g.adj)]
+        _assert_labelling_matches_reference(children)
+        total += len(children)
+    assert total == 2212
+
+
+def test_labelling_matches_reference_on_symmetric_and_random_graphs():
+    k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                      (0, 3), (1, 4), (2, 5)])
+    q3 = Graph(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3)
+                   if v < v ^ 1 << i])
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)])
+    for g in (cycle_graph(8), k33, prism, q3, petersen):
+        _assert_labelling_matches_reference([g.adj])
+    rng = random.Random(43)
+    for n in range(1, 16):
+        _assert_labelling_matches_reference(
+            [random_graph(rng, n, rng.random()).adj for _ in range(20)])
+    with pytest.raises(ValueError, match="overflow"):
+        rigidity._stable_colours(np.zeros((1, 16, 16), dtype=np.int64))
+
+
 # -- enumeration ----------------------------------------------------------
 
 
@@ -434,20 +476,28 @@ def test_enumeration_complete_via_labeled_count_n7():
         ok &= inside <= 2 * size - 3
     labeled_direct = int(ok.sum())
 
-    table = pair_permutation_tables(n)
-    weights = (np.int64(1) << table)
-    index = {p: k for k, p in enumerate(pairs)}
+    graphs = next(minimally_rigid_levels(n, n))[1]
     labeled_from_classes = 0
-    for g in next(minimally_rigid_levels(n, n))[1]:
-        mask_bits = np.zeros(npairs, dtype=np.int64)
-        for e in g.edge_list():
-            mask_bits[index[e]] = 1
-        orig = int(sum(1 << index[e] for e in g.edge_list()))
-        images = weights @ mask_bits
-        aut = int(np.sum(images == orig))
+    for aut in _brute_automorphism_counts(n, graphs):
         assert 5040 % aut == 0
         labeled_from_classes += 5040 // aut
     assert labeled_direct == labeled_from_classes
+
+
+def _brute_automorphism_counts(n, graphs):
+    """|Aut(g)| of each graph on n vertices, by trying all n! relabellings
+    on its edge mask at once."""
+    pairs = vertex_pairs(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    weights = np.int64(1) << pair_permutation_tables(n)
+    counts = []
+    for g in graphs:
+        bits = np.zeros(len(pairs), dtype=np.int64)
+        for e in g.edge_list():
+            bits[index[e]] = 1
+        orig = sum(1 << index[e] for e in g.edge_list())
+        counts.append(int(np.sum(weights @ bits == orig)))
+    return counts
 
 
 def test_enumeration_rejects_out_of_range():
@@ -468,8 +518,7 @@ def test_levels_match_enumeration_per_order():
 
 
 def _count_labellings(monkeypatch):
-    """Count canonical labellings: canonical_graph and the enumeration both
-    label through rigidity._canonical_rows."""
+    """Count the enumeration's canonical labellings."""
     labelled = rigidity._canonical_rows
     calls = [0]
 
@@ -493,15 +542,25 @@ def test_laman_sweep_grows_each_level_once(monkeypatch):
 
 
 def test_laman_sweep_labels_few_children(monkeypatch):
+    # growth to order 8 refines 1 359 children and labels 718 of them;
+    # before orbit pruning it refined 2 212 and labelled 1 112, and
     # unfiltered growth labels all 6 099 children of the levels below 8
-    calls = _count_labellings(monkeypatch)
+    labelled = _count_labellings(monkeypatch)
+    leading = rigidity._leading_colours
+    refined = [0]
+
+    def counting(children):
+        refined[0] += len(children)
+        return leading(children)
+
+    monkeypatch.setattr(rigidity, "_leading_colours", counting)
     assert laman_extremal_report(3, 8)["ok"]
-    assert 0 < calls[0] <= 1200
+    assert 0 < labelled[0] <= 720
+    assert 0 < refined[0] <= 1360
 
 
 def _assert_rounds_refine(adj):
-    rounds = list(rigidity._refinement_rounds(adj))
-    assert rounds[-1] == _refine_classes(adj)
+    rounds = list(reference_refinement_rounds(adj))
     for before, after in zip(rounds, rounds[1:]):
         for u, v in permutations(range(len(adj)), 2):
             if before[u] < before[v]:
@@ -509,7 +568,8 @@ def _assert_rounds_refine(adj):
 
 
 def test_each_refinement_round_refines_the_last():
-    # early rejection rests on this: a vertex behind x stays behind
+    # the stacked refinement's keys rest on this: vertices of one colour
+    # share a degree, so their neighbour multisets have one size
     for _, graphs in minimally_rigid_levels(2, 8):
         for g in graphs:
             _assert_rounds_refine(g.adj)
@@ -519,18 +579,73 @@ def test_each_refinement_round_refines_the_last():
         _assert_rounds_refine(g.adj)
 
 
-def test_early_rejection_matches_stable_colour_test():
-    # reference: refine to the stable colours, then test the new vertex
+def _unpruned_extensions(adj):
+    """Adjacency masks of every 0-extension and, when at most one vertex
+    has degree 2, every 1-extension whose new vertex can have the minimum
+    degree: the children that growth refined before orbit pruning."""
+    n, x = len(adj), 1 << len(adj)
+    for u, v in combinations(range(n), 2):
+        child = list(adj)
+        child[u] |= x
+        child[v] |= x
+        yield child + [1 << u | 1 << v]
+    low = [v for v in range(n) if adj[v].bit_count() == 2]
+    if len(low) > 1:
+        return
+    for u, v in combinations(range(n), 2):
+        if adj[u] >> v & 1:
+            for w in low or range(n):
+                if w != u and w != v:
+                    child = list(adj)
+                    child[u] ^= 1 << v | x
+                    child[v] ^= 1 << u | x
+                    child[w] |= x
+                    yield child + [1 << u | 1 << v | 1 << w]
+
+
+def test_new_vertex_test_matches_stable_colour_test():
+    # reference: refine each child alone, then test its new vertex
+    for _, graphs in minimally_rigid_levels(2, 7):
+        children = [child for g in graphs
+                    for child in _unpruned_extensions(g.adj)]
+        expected = []
+        for child in children:
+            colour = _refine_classes(child)
+            degree = [a.bit_count() for a in child]
+            low = min(degree)
+            if degree[-1] == low and colour[-1] == max(
+                    c for c, d in zip(colour, degree) if d == low):
+                expected.append((child, colour))
+        assert list(rigidity._leading_colours(children)) == expected
+
+
+def test_pruning_automorphisms_are_the_whole_group():
+    # the pruning keeps one extension per orbit of these maps, so each must
+    # be an automorphism, and a missing one would only keep more children
+    for n in range(3, 8):
+        graphs = next(minimally_rigid_levels(n, n))[1]
+        for g, brute in zip(graphs, _brute_automorphism_counts(n, graphs)):
+            colour = _refine_classes(g.adj)
+            auts = rigidity._automorphisms(g.adj, colour)
+            for s in auts:
+                assert sorted(s) == list(range(n))
+                assert Graph(n, [(s[u], s[v]) for u, v in g.edge_list()]) == g
+            assert len({tuple(s) for s in auts}) == len(auts) == brute
+            # growth skips the search when the colours are discrete
+            if len(set(colour)) == n:
+                assert brute == 1
+
+
+def test_orbit_pruning_keeps_every_child_class():
+    # per parent, one extension per orbit labels to the same rows as all
+    def labelled(children):
+        return {reference_canonical_rows(c, colour) for c, colour
+                in rigidity._leading_colours(list(children))}
+
     for _, graphs in minimally_rigid_levels(2, 7):
         for g in graphs:
-            for child in rigidity._extensions(g.adj):
-                colour = _refine_classes(child)
-                degree = [a.bit_count() for a in child]
-                low = min(degree)
-                leads = degree[-1] == low and colour[-1] == max(
-                    c for c, d in zip(colour, degree) if d == low)
-                assert rigidity._leading_colours(child) == (
-                    colour if leads else None)
+            pruned = rigidity._extensions(g.adj, _refine_classes(g.adj))
+            assert labelled(pruned) == labelled(_unpruned_extensions(g.adj))
 
 
 def _all_extensions(g):
@@ -597,5 +712,5 @@ def test_canonical_labelling_budget_stops_hypercube():
                     if v < v ^ 1 << i])
     start = time.perf_counter()
     with pytest.raises(ValueError, match="search nodes"):
-        canonical_form(q6)
+        rigidity._canonical_rows(q6.adj, _refine_classes(q6.adj))
     assert time.perf_counter() - start < 60

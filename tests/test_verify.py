@@ -351,6 +351,9 @@ def test_laman_extremal_report_ok():
     assert rep["ok"]
     assert [row["count"] for row in rep["rows"]] == [1, 1, 3, 13]
     assert all(row["argmax_is_hub_pair"] for row in rep["rows"])
+    # one eigensolve per level gives each graph's own radius, bit for bit
+    for row, (_, graphs) in zip(rep["rows"], minimally_rigid_levels(3, 6)):
+        assert row["max_rho"] == max(map(spectral_radius, graphs))
     with pytest.raises(ValueError):
         laman_extremal_report(3, 10)
 
