@@ -7,7 +7,8 @@
 # BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
 # sweeps at their README defaults (JSON, and CSV where the subcommand has
 # --format), `laman-extremal` up to the largest order it grows (n = 9, JSON
-# and CSV), `extremal --delta 9 --nmax 40 --seed 5`, and `analyze` on the
+# and CSV), `extremal --delta 9 --nmax 40 --seed 5`, `extremal` at seed 0
+# and at the rejected seed -1 (its stderr and exit code), and `analyze` on the
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
 # 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
 # and 2), and on a corpus of bad lines read from a file and from stdin
@@ -44,6 +45,8 @@ runs=(
     "extremal --delta 6 --nmax 26"
     "extremal --delta 6 --nmax 26 --format csv"
     "extremal --delta 9 --nmax 40 --seed 5"
+    "extremal --delta 6 --nmax 26 --seed 0"
+    "extremal --delta 6 --nmax 16 --seed=-1"
 )
 for name in corpus-small corpus-dense corpus-sparse; do
     seeds="1 2"

@@ -64,10 +64,21 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "n", n)
+        self._store(tuple(adj))
+
+    @classmethod
+    def _from_adj(cls, adj: tuple[int, ...]) -> Graph:
+        """The graph with these adjacency masks, trusted to be symmetric,
+        loop-free and within range: built by the program, not read."""
+        g = cls.__new__(cls)
+        g._store(adj)
+        return g
+
+    def _store(self, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "m", sum(a.bit_count() for a in adj) // 2)
-        object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_hash", hash((n, self.adj)))
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "_hash", hash((len(adj), adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")

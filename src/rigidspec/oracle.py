@@ -8,6 +8,7 @@ tautology.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterator, Optional
@@ -44,9 +45,18 @@ class Placement:
 
 
 def random_placement(n: int, seed: int) -> Placement:
-    """Points drawn uniformly from [1, 2)^2; deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    return Placement(1.0 + rng.random((n, 2)))
+    """Points drawn uniformly from [1, 2)^2; deterministic in the seed,
+    which must be non-negative.
+
+    The coordinates come from `random.Random(seed)`, x then y for each
+    vertex in turn.  `import numpy` already loads `random`, while
+    `numpy.random` would add about 6 MB and several ms to each process.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    draw = random.Random(seed).random
+    return Placement(1.0 + np.array([draw() for _ in range(2 * n)])
+                     .reshape(n, 2))
 
 
 def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:

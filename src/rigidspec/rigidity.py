@@ -4,8 +4,8 @@ and inductive enumeration of canonically labelled minimally rigid graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -196,8 +196,8 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # label-invariant classes; a class-respecting backtracking search then
 # maximises the upper-triangle bit string, which is exactly the graph6
 # body, so the canonical form doubles as a corpus-ready graph6 line.
-# Refinement runs in numpy on a stack of 0/1 adjacency matrices, every
-# child of a level at once; the search reads adjacency bitmasks: bit w of
+# Refinement runs in numpy on a stack of 0/1 adjacency matrices, a block
+# of children at once; the search reads adjacency bitmasks: bit w of
 # adj[v] is the edge vw.
 #
 # The search gives up after CANONICAL_NODE_BUDGET nodes.  Refinement cannot
@@ -331,9 +331,19 @@ def _canonical_rows(adj: Sequence[int],
 
 
 def _graph_from_rows(rows: Sequence[int]) -> Graph:
+    """The graph whose canonical rows these are."""
     n = len(rows)
-    return Graph(n, [(n - 1 - b, k) for k, r in enumerate(rows)
-                     for b in _members(r)])
+    adj = [0] * n
+    for k, r in enumerate(rows):
+        bit = 1 << k
+        while r:
+            # the lowest set bit, n - 1 - i, is the edge to position i < k
+            low = r & -r
+            i = n - low.bit_length()
+            adj[i] |= bit
+            adj[k] |= 1 << i
+            r ^= low
+    return Graph._from_adj(tuple(adj))
 
 
 # -- enumeration of minimally rigid graphs --------------------------------
@@ -370,6 +380,13 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
 # Aut(P) is enough.  Automorphisms preserve the stable colours, so Aut(P)
 # is found by backtracking inside the colour classes, and is trivial when
 # the colours are discrete.
+#
+# Children are generated lazily and refined in stacks of REFINE_BLOCK.
+# A stack holds several int64 n x n arrays per child, over 10 MB for the
+# whole of level 9, while blocks of a few hundred children refine as fast
+# as one stack.
+
+REFINE_BLOCK = 256
 
 
 def _automorphisms(adj: Sequence[int],
@@ -437,21 +454,24 @@ def _extensions(adj: Sequence[int],
                 yield child
 
 
-def _leading_colours(
-        children: list[list[int]]) -> Iterator[tuple[list[int], list[int]]]:
+def _leading_colours(children: Iterable[list[int]]
+                     ) -> Iterator[tuple[list[int], list[int]]]:
     """(child, stable colours) for each child, given by adjacency masks of
     one order, whose new vertex passes the new-vertex test: the last vertex
     has the minimum degree and the largest colour among the minimum-degree
-    vertices.  Every child is refined in one stack."""
-    adj = _adjacency_bits(children, len(children[0])).astype(np.int64)
-    colour = _stable_colours(adj)
-    degree = adj.sum(axis=2)
-    low = degree.min(axis=1, keepdims=True)
-    lead = np.where(degree == low, colour, -1).max(axis=1)
-    passes = (degree[:, -1] == low[:, 0]) & (colour[:, -1] == lead)
-    stable = colour.tolist()
-    for i in np.flatnonzero(passes).tolist():
-        yield children[i], stable[i]
+    vertices.  Children are read and refined REFINE_BLOCK at a time, so
+    neither they nor their stacks are held for a whole level."""
+    children = iter(children)
+    while block := list(islice(children, REFINE_BLOCK)):
+        adj = _adjacency_bits(block, len(block[0])).astype(np.int64)
+        colour = _stable_colours(adj)
+        degree = adj.sum(axis=2)
+        low = degree.min(axis=1, keepdims=True)
+        lead = np.where(degree == low, colour, -1).max(axis=1)
+        passes = (degree[:, -1] == low[:, 0]) & (colour[:, -1] == lead)
+        stable = colour.tolist()
+        for i in np.flatnonzero(passes).tolist():
+            yield block[i], stable[i]
 
 
 def minimally_rigid_levels(nmin: int,
@@ -471,8 +491,8 @@ def minimally_rigid_levels(nmin: int,
             masks = [g.adj for g in level]
             colours = _stable_colours(
                 _adjacency_bits(masks, n - 1).astype(np.int64)).tolist()
-            children = [child for adj, colour in zip(masks, colours)
-                        for child in _extensions(adj, colour)]
+            children = (child for adj, colour in zip(masks, colours)
+                        for child in _extensions(adj, colour))
             found = {_canonical_rows(child, colour)
                      for child, colour in _leading_colours(children)}
             # at one order, rows order is graph6 order: both compare the

@@ -44,6 +44,12 @@ def test_placement_validation():
     assert np.all(pl.coords >= 1.0) and np.all(pl.coords < 2.0)
     assert np.array_equal(pl.coords, random_placement(6, 42).coords)
     assert not np.array_equal(pl.coords, random_placement(6, 43).coords)
+    big = random_placement(9, 2**70)
+    assert big.coords.dtype == np.float64 and big.coords.shape == (9, 2)
+    assert np.all(big.coords >= 1.0) and np.all(big.coords < 2.0)
+    assert np.array_equal(big.coords, random_placement(9, 2**70).coords)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        random_placement(6, -1)
 
 
 def test_rigidity_matrix_single_edge():

@@ -550,8 +550,11 @@ def test_laman_sweep_labels_few_children(monkeypatch):
     refined = [0]
 
     def counting(children):
-        refined[0] += len(children)
-        return leading(children)
+        def counted():
+            for child in children:
+                refined[0] += 1
+                yield child
+        return leading(counted())
 
     monkeypatch.setattr(rigidity, "_leading_colours", counting)
     assert laman_extremal_report(3, 8)["ok"]
@@ -603,8 +606,18 @@ def _unpruned_extensions(adj):
                     yield child + [1 << u | 1 << v | 1 << w]
 
 
-def test_new_vertex_test_matches_stable_colour_test():
-    # reference: refine each child alone, then test its new vertex
+def test_new_vertex_test_matches_stable_colour_test(monkeypatch):
+    # reference: refine each child alone, then test its new vertex; the
+    # children are read once and refined in blocks of any size, the whole
+    # level included, and no stack exceeds the block
+    stacks = []
+    stable = rigidity._stable_colours
+
+    def recording(adj):
+        stacks.append(len(adj))
+        return stable(adj)
+
+    monkeypatch.setattr(rigidity, "_stable_colours", recording)
     for _, graphs in minimally_rigid_levels(2, 7):
         children = [child for g in graphs
                     for child in _unpruned_extensions(g.adj)]
@@ -616,7 +629,13 @@ def test_new_vertex_test_matches_stable_colour_test():
             if degree[-1] == low and colour[-1] == max(
                     c for c, d in zip(colour, degree) if d == low):
                 expected.append((child, colour))
-        assert list(rigidity._leading_colours(children)) == expected
+        for block in (1, 7, len(children)):
+            monkeypatch.setattr(rigidity, "REFINE_BLOCK", block)
+            stacks.clear()
+            got = list(rigidity._leading_colours(iter(children)))
+            assert got == expected
+            assert max(stacks) <= block
+            assert sum(stacks) == len(children)
 
 
 def test_pruning_automorphisms_are_the_whole_group():
@@ -693,6 +712,30 @@ def test_every_degree_2_or_3_vertex_is_removable():
                         ).minimally_rigid
                         for a, b in combinations(_members(g.adj[y]), 2)
                         if not g.adj[a] >> b & 1)
+
+
+def test_level_graphs_match_checked_construction(monkeypatch):
+    # levels are built from canonical rows without the edge checks that
+    # Graph(n, edges) applies to outside input
+    built = []
+    from_rows = rigidity._graph_from_rows
+
+    def recording(rows):
+        g = from_rows(rows)
+        built.append((rows, g))
+        return g
+
+    monkeypatch.setattr(rigidity, "_graph_from_rows", recording)
+    sizes = [len(graphs) for _, graphs in minimally_rigid_levels(3, 9)]
+    assert len(built) == sum(sizes)
+    for rows, g in built:
+        n = len(rows)
+        # position i of row k sits at bit n - 1 - i
+        checked = Graph(n, [(n - 1 - b, k) for k, r in enumerate(rows)
+                            for b in _members(r)])
+        assert g == checked and hash(g) == hash(checked)
+        assert (g.n, g.m) == (checked.n, checked.m) == (n, 2 * n - 3)
+        assert type(g.adj) is tuple
 
 
 def test_enumeration_n9_count_and_radius_maximiser():

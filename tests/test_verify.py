@@ -346,6 +346,16 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_extremal_report_leaves_numpy_random_unloaded():
+    # placements come from the standard library's generator
+    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys; from rigidspec.verify import extremal_family_report; "
+            "assert extremal_family_report(6, 16)['ok']; "
+            "sys.exit('numpy.random' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 def test_laman_extremal_report_ok():
     rep = laman_extremal_report(3, 6)
     assert rep["ok"]
@@ -601,6 +611,17 @@ def test_cli_extremal_with_seed_env(monkeypatch, capsys):
         cli_main(["extremal", "--delta", "6", "--nmax", "16"])
     assert exc.value.code == 2
     assert "invalid RIGIDSPEC_SEED='not-an-int'" in capsys.readouterr().err
+
+
+def test_cli_extremal_rejects_negative_seed(monkeypatch, capsys):
+    monkeypatch.delenv("RIGIDSPEC_SEED", raising=False)
+    args = ["extremal", "--delta", "6", "--nmax", "16"]
+    assert cli_main(args + ["--seed=-1"]) == 2
+    monkeypatch.setenv("RIGIDSPEC_SEED", "-3")
+    assert cli_main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid parameters: expected non-negative integer\n" * 2
 
 
 def test_cli_analyze_ignores_seed_env(monkeypatch, capsys):
