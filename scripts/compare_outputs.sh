@@ -12,8 +12,10 @@
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
 # 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
 # and 2), and on a corpus of bad lines read from a file and from stdin
-# (JSON and CSV, --jobs 1 and 2).  Every run reads stdin from /dev/null
-# unless its last word is `<FILE`.
+# (JSON and CSV, --jobs 1, 2 and 8; at 8 the pool is capped at its 6
+# nonblank lines).  Every run reads stdin from /dev/null unless its last
+# word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
+# trees read it as the default seed of `extremal`.
 # Prints one line per run and exits 1 when any run differs.
 set -euo pipefail
 
@@ -75,7 +77,7 @@ done
 # non-ASCII byte, a line that only str.strip empties, and a good line
 bad="$work/bad-lines.g6"
 printf 'Bw\n\n?\nA_x\nB\xe9\n\x1c\nCw\n' > "$bad"
-for jobs in 1 2; do
+for jobs in 1 2 8; do
     for format in json csv; do
         runs+=("analyze $bad --jobs $jobs --format $format"
                "analyze - --jobs $jobs --format $format <$bad")

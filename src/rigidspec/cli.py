@@ -33,20 +33,6 @@ from .verify import (
     write_csv,
 )
 
-ENV_SEED = "RIGIDSPEC_SEED"
-DEFAULT_SEED = 1729
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED, str(DEFAULT_SEED))
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"invalid {ENV_SEED}={raw!r}: expected an integer",
-              file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rigidspec",
@@ -86,9 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=6)
     p.add_argument("--nmax", type=int, default=26)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"placement seed (default: ${ENV_SEED} or "
-                        f"{DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=1729,
+                   help="placement seed (default: %(default)s)")
 
     return top
 
@@ -135,8 +120,8 @@ def _run(args, out) -> int:
             report = family_sweep_report(args.links, args.amin, args.amax,
                                          args.nmax)
         else:
-            seed = args.seed if args.seed is not None else _default_seed()
-            report = extremal_family_report(args.delta, args.nmax, seed=seed)
+            report = extremal_family_report(args.delta, args.nmax,
+                                            seed=args.seed)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 2

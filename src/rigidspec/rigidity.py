@@ -485,18 +485,19 @@ def minimally_rigid_levels(nmin: int,
     """
     if not 2 <= nmin <= nmax <= 9:
         raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
-    level = [Graph(2, [(0, 1)])]
+    # each graph of a level with its stable colours
+    level = [(Graph(2, [(0, 1)]), [0, 0])]
     for n in range(2, nmax + 1):
         if n > 2:
-            masks = [g.adj for g in level]
-            colours = _stable_colours(
-                _adjacency_bits(masks, n - 1).astype(np.int64)).tolist()
-            children = (child for adj, colour in zip(masks, colours)
-                        for child in _extensions(adj, colour))
-            found = {_canonical_rows(child, colour)
+            children = (child for g, colour in level
+                        for child in _extensions(g.adj, colour))
+            # the canonical rows place the colour classes in colour order,
+            # so the graph they give has the child's colours, sorted
+            found = {_canonical_rows(child, colour): sorted(colour)
                      for child, colour in _leading_colours(children)}
             # at one order, rows order is graph6 order: both compare the
             # upper-triangle bit strings column by column
-            level = [_graph_from_rows(rows) for rows in sorted(found)]
+            level = [(_graph_from_rows(rows), found[rows])
+                     for rows in sorted(found)]
         if n >= nmin:
-            yield n, level
+            yield n, [g for g, _ in level]

@@ -47,13 +47,9 @@ class CharQuartic:
     links: int
     parameters_linked: bool
 
-    def evaluate(self, x: float) -> float:
-        acc = 0.0
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-    def evaluate_exact(self, x: int) -> int:
+    def evaluate(self, x: int | float) -> int | float:
+        """The quartic at x by Horner's rule: exact for an int x, a float
+        for a float x."""
         acc = 0
         for c in self.coefficients:
             acc = acc * x + c

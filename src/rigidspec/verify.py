@@ -10,7 +10,8 @@ import csv
 import json
 import math
 from dataclasses import fields
-from functools import cache
+from functools import cache, partial
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -251,10 +252,14 @@ def flatten_report(report: dict) -> dict:
 
 # -- corpus analysis ------------------------------------------------------
 
+# corpus lines per task handed to a worker when analysing with --jobs > 1
+CHUNK = 8
 
-def _analyze_line(item: tuple[int, bytes, float]):
-    """(report, None) for one corpus line, or (None, "line N: ...")."""
-    lineno, raw, tol = item
+
+def _analyze_line(item: tuple[int, bytes], tol: float):
+    """(report, None) for one (line number, raw line) of a corpus, or
+    (None, "line N: ...")."""
+    lineno, raw = item
     try:
         # str.strip also drops \x1c-\x1f, as reading the corpus as text did
         text = raw.decode("ascii").strip()
@@ -274,28 +279,22 @@ def analyze_lines(
 ) -> Iterator[tuple[Optional[dict], Optional[str]]]:
     """Yield (report, None) or (None, "line N: ...") for each nonblank line
     of a graph6 corpus of raw byte lines, in input order, as soon as that
-    line is done.  One job reads the lines lazily; more read them whole
-    first, so that k < jobs graphs start only k workers."""
-    items = ((lineno, raw, tol) for lineno, raw in iter_graph6_lines(lines))
-    workers = 1
-    if jobs > 1:
-        items = list(items)
-        workers = min(jobs, len(items))
-    if workers <= 1:
-        yield from map(_analyze_line, items)
+    line is done.  The lines are read lazily at any job count; k < jobs
+    graphs start only k workers, and closing the generator stops them."""
+    items = iter_graph6_lines(lines)
+    head = list(islice(items, jobs))
+    analyze = partial(_analyze_line, tol=tol)
+    if len(head) <= 1:
+        yield from map(analyze, chain(head, items))
         return
     # imported here: loading the process pool would slow the start-up of
     # every serial run
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Pool
 
-    chunk = max(1, len(items) // (4 * workers))
-    # the fork start method launches every worker before any work
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield from pool.map(_analyze_line, items, chunksize=chunk)
-    finally:
-        # a generator closed early drops the work not yet started
-        pool.shutdown(cancel_futures=True)
+    # leaving the block terminates the workers, also when the reader closes
+    # the generator early
+    with Pool(len(head)) as pool:
+        yield from pool.imap(analyze, chain(head, items), chunksize=CHUNK)
 
 
 # -- sweep drivers --------------------------------------------------------

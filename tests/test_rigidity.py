@@ -582,6 +582,16 @@ def test_each_refinement_round_refines_the_last():
         _assert_rounds_refine(g.adj)
 
 
+def test_level_graphs_have_sorted_stable_colours():
+    # growth passes each child's sorted colours on as the colours of the
+    # graph its canonical rows give: the same multiset, so equal when the
+    # graph's own colours run in vertex order
+    for _, graphs in minimally_rigid_levels(2, 8):
+        for g in graphs:
+            colour = _refine_classes(g.adj)
+            assert colour == sorted(colour)
+
+
 def _unpruned_extensions(adj):
     """Adjacency masks of every 0-extension and, when at most one vertex
     has degree 2, every 1-extension whose new vertex can have the minimum

@@ -97,7 +97,23 @@ def test_char_poly_frozen_coefficients():
     assert poly.parameters_linked
     assert not linked_cliques_char_poly(16, 7, 1).parameters_linked
     assert not linked_cliques_char_poly(15, 7, 2).parameters_linked
-    assert poly.evaluate_exact(6) == 0  # 6 is an exact quotient eigenvalue
+    assert poly.evaluate(6) == 0  # 6 is an exact quotient eigenvalue
+
+
+def test_char_poly_evaluates_ints_exactly_and_floats_by_float_horner():
+    for n, a, links in [(16, 7, 2), (30, 11, 3), (200, 60, 3)]:
+        poly = linked_cliques_char_poly(n, a, links)
+        for x in (-5, 0, 3, n - 1):
+            v = poly.evaluate(x)
+            assert type(v) is int
+            assert v == sum(c * x ** (4 - k)
+                            for k, c in enumerate(poly.coefficients))
+        for x in (-2.75, -0.0, 0.5, n - 1.25, float(n)):
+            acc = 0.0
+            for c in poly.coefficients:
+                acc = acc * x + c
+            v = poly.evaluate(x)
+            assert type(v) is float and v.hex() == acc.hex()
 
 
 def test_char_poly_vanishes_on_quotient_spectrum():

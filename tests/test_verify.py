@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -299,16 +300,19 @@ def test_analyze_lines_pool_capped_at_line_count(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def __enter__(self):
+            return self
 
-        def shutdown(self, cancel_futures=False):
+        def __exit__(self, *exc):
             pass
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     lines = [b"Bw\n", b"\n", b"Cw\n", b"C~\n"]
     reports, errors = _split(analyze_lines(lines, jobs=64))
     assert sizes == [3] and len(reports) == 3 and errors == []
@@ -338,11 +342,37 @@ def test_closing_parallel_analysis_leaves_no_worker():
     assert multiprocessing.active_children() == []
 
 
+# graphs analysed by the workers of the test below, counted across processes
+ANALYSED = multiprocessing.Value("i", 0)
+_analyze_graph = rigidspec.verify.analyze_graph
+
+
+def _slow_analyze_graph(*args, **kwargs):
+    time.sleep(0.01)
+    with ANALYSED.get_lock():
+        ANALYSED.value += 1
+    return _analyze_graph(*args, **kwargs)
+
+
+def test_closing_parallel_analysis_stops_the_workers(monkeypatch):
+    # forked workers inherit the patch
+    monkeypatch.setattr(rigidspec.verify, "analyze_graph",
+                        _slow_analyze_graph)
+    ANALYSED.value = 0
+    results = analyze_lines([b"Bw\n"] * 400, jobs=2)
+    report, err = next(results)
+    assert err is None and report["graph6"] == "Bw"
+    results.close()
+    assert multiprocessing.active_children() == []
+    # read without the lock, which a stopped worker may have held
+    assert ANALYSED.get_obj().value < 100
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     src = os.path.dirname(os.path.dirname(rigidspec.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, rigidspec.cli; "
-            "sys.exit('concurrent.futures.process' in sys.modules)")
+            "sys.exit('multiprocessing.pool' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
@@ -601,42 +631,20 @@ def test_cli_sweeps(capsys):
     assert rep["ok"] and rep["cells"] > 0
 
 
-def test_cli_extremal_with_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("RIGIDSPEC_SEED", "12345")
-    assert cli_main(["extremal", "--delta", "6", "--nmax", "16"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["seed"] == 12345
-    monkeypatch.setenv("RIGIDSPEC_SEED", "not-an-int")
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["extremal", "--delta", "6", "--nmax", "16"])
-    assert exc.value.code == 2
-    assert "invalid RIGIDSPEC_SEED='not-an-int'" in capsys.readouterr().err
-
-
-def test_cli_extremal_rejects_negative_seed(monkeypatch, capsys):
-    monkeypatch.delenv("RIGIDSPEC_SEED", raising=False)
+def test_cli_extremal_seed_flag_and_default(capsys):
     args = ["extremal", "--delta", "6", "--nmax", "16"]
-    assert cli_main(args + ["--seed=-1"]) == 2
-    monkeypatch.setenv("RIGIDSPEC_SEED", "-3")
+    assert cli_main(args) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1729
+    assert cli_main(args + ["--seed", "222"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 222
+
+
+def test_cli_extremal_rejects_negative_seed(capsys):
+    args = ["extremal", "--delta", "6", "--nmax", "16", "--seed=-1"]
     assert cli_main(args) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "invalid parameters: expected non-negative integer\n" * 2
-
-
-def test_cli_analyze_ignores_seed_env(monkeypatch, capsys):
-    monkeypatch.setenv("RIGIDSPEC_SEED", "abc")
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Bw\n")))
-    assert cli_main(["analyze", "-"]) == 0
-    assert json.loads(capsys.readouterr().out)["n"] == 3
-
-
-def test_cli_seed_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv("RIGIDSPEC_SEED", "111")
-    assert cli_main(["extremal", "--delta", "6", "--nmax", "16",
-                     "--seed", "222"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["seed"] == 222
+    assert err == "invalid parameters: expected non-negative integer\n"
 
 
 def test_cli_bad_parameters(capsys):
