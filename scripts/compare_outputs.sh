@@ -9,9 +9,10 @@
 # --format), `laman-extremal` up to the largest order it grows (n = 9, JSON
 # and CSV), `extremal --delta 9 --nmax 40 --seed 5`, `extremal` at seed 0
 # and at the rejected seed -1 (its stderr and exit code), and `analyze` on the
-# benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2, and seeds
-# 3-5 of corpus-dense for denser rigidity verdicts; JSON and CSV, --jobs 1
-# and 2), and on a corpus of bad lines read from a file and from stdin
+# benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2; seeds 1-5 of
+# corpus-dense for denser rigidity verdicts, and seeds 1-10 of corpus-small,
+# whose disconnected graphs print eigensolver noise as their algebraic
+# connectivity; JSON and CSV, --jobs 1 and 2), and on a corpus of bad lines read from a file and from stdin
 # (JSON and CSV, --jobs 1, 2 and 8; at 8 the pool is capped at its 6
 # nonblank lines).  Every run reads stdin from /dev/null unless its last
 # word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
@@ -51,10 +52,11 @@ runs=(
     "extremal --delta 6 --nmax 16 --seed=-1"
 )
 for name in corpus-small corpus-dense corpus-sparse; do
-    seeds="1 2"
-    if [ "$name" = corpus-dense ]; then
-        seeds="1 2 3 4 5"
-    fi
+    case "$name" in
+        corpus-small) seeds="1 2 3 4 5 6 7 8 9 10" ;;
+        corpus-dense) seeds="1 2 3 4 5" ;;
+        *) seeds="1 2" ;;
+    esac
     for seed in $seeds; do
         corpus="$work/$name-$seed.g6"
         python3 - "$repo/perfbench" "$name" "$seed" > "$corpus" <<'EOF'

@@ -32,7 +32,6 @@ from .rigidity import (
 )
 from .spectral import (
     CharQuartic,
-    algebraic_connectivity,
     complete_split_rho,
     hong_bound,
     hong_bound_function,

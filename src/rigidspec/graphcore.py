@@ -131,32 +131,31 @@ class Graph:
     def adjacency_matrix(self):
         return _adjacency_bits([self.adj], self.n)[0].astype(float)
 
-    def laplacian_matrix(self):
-        import numpy as np
-
-        a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
-
     # -- traversal --------------------------------------------------------
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
 
     def components(self) -> list[frozenset[int]]:
         """Vertex sets of the components, in order of least vertex."""
         out = []
         left = (1 << self.n) - 1
         while left:
-            comp = frontier = left & -left
-            while frontier:
-                grown = 0
-                for x in _members(frontier):
-                    grown |= self.adj[x]
-                frontier = grown & ~comp
-                comp |= frontier
+            comp = self._reach(left & -left)
             left ^= comp
             out.append(frozenset(_members(comp)))
         return out
+
+    def _reach(self, seed: int) -> int:
+        """The vertices joined by paths to those of the bitmask seed."""
+        comp = frontier = seed
+        while frontier:
+            grown = 0
+            for x in _members(frontier):
+                grown |= self.adj[x]
+            frontier = grown & ~comp
+            comp |= frontier
+        return comp
 
     # -- identity ---------------------------------------------------------
 
@@ -282,15 +281,17 @@ def parse_graph6(line: str) -> Graph:
     bits = "".join([_G6_BITS[b - 63] for b in body])
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits")
-    edges = []
+    adj = [0] * n
     for v in range(1, n):
         # column v holds x(0,v) ... x(v-1,v)
         col = bits[v * (v - 1) // 2:v * (v + 1) // 2]
+        bit = 1 << v
         u = col.find("1")
         while u >= 0:
-            edges.append((u, v))
+            adj[u] |= bit
+            adj[v] |= 1 << u
             u = col.find("1", u + 1)
-    return Graph(n, edges)
+    return Graph._from_adj(tuple(adj))
 
 
 def write_graph6(g: Graph) -> str:
@@ -489,6 +490,27 @@ def _seed_paths(masks: Sequence[int], s: int, t: int,
     return paths
 
 
+def _pair_bound(masks: Sequence[int], s: int, t: int, limit: int) -> int:
+    """A lower bound on the number of internally disjoint s-t paths, s and
+    t non-adjacent; the count stops growing once it reaches `limit`.
+
+    Each common neighbour c gives a path s-c-t.  A greedy matching of
+    N(s) - N(t) into N(t) - N(s) along edges ab gives paths s-a-b-t that
+    share no vertex with those or with each other.
+    """
+    common = masks[s] & masks[t]
+    bound = common.bit_count()
+    near_s, near_t = masks[s] ^ common, masks[t] ^ common
+    while near_s and bound < limit:
+        a = near_s & -near_s
+        near_s ^= a
+        b = masks[a.bit_length() - 1] & near_t
+        if b:
+            near_t ^= b & -b
+            bound += 1
+    return bound
+
+
 def _flow(
     masks: Sequence[int],
     network: Callable[[], SplitNetwork],
@@ -498,13 +520,16 @@ def _flow(
 ) -> int:
     """min(limit, number of internally disjoint s-t paths); s, t non-adjacent.
 
-    The seeded paths are a valid flow found without the split network.
+    A pair whose `_pair_bound` reaches `limit` needs no search.  Otherwise
+    the seeded paths are a valid flow found without the split network.
     Only when seeding stops below `limit` does `network()` supply the split
     digraph: the paths are loaded into a copy of its capacities and BFS
     over the residual arcs (source out(s), sink in(t)) augments until the
     flow reaches `limit` or the sink is out of reach.  Augmenting any valid
     flow to the maximum is exact, so the seeding changes no result.
     """
+    if _pair_bound(masks, s, t, limit) >= limit:
+        return limit
     paths = _seed_paths(masks, s, t, limit)
     flow = len(paths)
     if flow >= limit:
@@ -551,10 +576,10 @@ def vertex_connectivity(g: Graph) -> int:
     any minimum cut misses some vertex of N[u0] or separates two
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
     degree, the running best starts at delta, since kappa <= delta off
-    the complete graph, and caps every later flow.  Seeding reads the
-    graph's adjacency bitmasks; the split network is built on the first
-    pair whose seeding stalls below the running best, and never when no
-    pair does.
+    the complete graph, and caps every later flow.  The pair bound and
+    the seeding read the graph's adjacency bitmasks; the split network is
+    built on the first pair whose seeding stalls below the running best,
+    and never when no pair does.
     """
     n = g.n
     if n <= 1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,38 +57,6 @@ class PebbleGame:
         return len(self.basis)
 
 
-def _draw_pebble(u: int, v: int, peb: list[int],
-                 out: list[set[int]]) -> Optional[set[int]]:
-    """Pull one free pebble onto u or v along reversed orientation paths.
-
-    Searches from u and then from v with one seen set that starts as
-    {u, v}, so neither end donates.  Returns None once a pebble moved, and
-    otherwise the seen set, which is then the out-edge closure of {u, v}.
-    """
-    seen = {u, v}
-    parent: dict[int, int] = {}
-    for root in (u, v):
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if y in seen:
-                    continue
-                seen.add(y)
-                parent[y] = x
-                if peb[y]:
-                    peb[y] -= 1
-                    peb[root] += 1
-                    while y != root:
-                        p = parent[y]
-                        out[p].discard(y)
-                        out[y].add(p)
-                        y = p
-                    return None
-                stack.append(y)
-    return seen
-
-
 def _add_tight(tight: list[int], r: int) -> list[int]:
     """The covered tight sets (vertex bitmasks) with r added, every set
     sharing at least two vertices with r merged into it."""
@@ -108,34 +76,74 @@ def _add_tight(tight: list[int], r: int) -> list[int]:
 def _run_pebble_game(n: int, edge_seq: Sequence[Edge]) -> PebbleGame:
     """Basis for the given insertion order, and its coloops."""
     peb = [2] * n
-    out: list[set[int]] = [set() for _ in range(n)]
+    # out[x] lists the heads of x's out-edges; peb[x] + len(out[x]) == 2
+    out: list[list[int]] = [[] for _ in range(n)]
+    parent = [0] * n  # the vertex a search reached each vertex from
     accepted: list[Edge] = []
-    uncovered: set[Edge] = set()
+    # bit y of uncovered[x], x < y: basis edge xy lies in no circuit found
+    uncovered = [0] * n
+    left = 0  # the number of such edges
     tight: list[int] = []
     cap = max(0, 2 * n - 3)
     for u, v in edge_seq:
-        if len(accepted) == cap and not uncovered:
+        if not left and len(accepted) == cap:
             break
         if peb[u] + peb[v] < 4:
             ends = 1 << u | 1 << v
-            if any((t & ends) == ends for t in tight):
+            for t in tight:
+                if t & ends == ends:
+                    break  # uv lies in a covered tight set
+            else:
+                t = 0
+            if t:
                 continue
-            closure = None
-            while closure is None and peb[u] + peb[v] < 4:
-                closure = _draw_pebble(u, v, peb, out)
-            if closure is not None:
-                for x in closure:
+            # pull free pebbles onto u or v along reversed out-edges; one
+            # search runs from both ends, neither of which donates
+            closure = 0
+            while peb[u] + peb[v] < 4:
+                seen = ends
+                hit = -1
+                stack = [v, u]
+                while stack and hit < 0:
+                    x = stack.pop()
                     for y in out[x]:
-                        uncovered.discard((x, y) if x < y else (y, x))
-                tight = _add_tight(tight, sum(1 << x for x in closure))
+                        if not seen >> y & 1:
+                            seen |= 1 << y
+                            parent[y] = x
+                            if peb[y]:
+                                hit = y
+                                break
+                            stack.append(y)
+                if hit < 0:
+                    closure = seen  # R: no free pebble is in reach
+                    break
+                peb[hit] -= 1
+                y = hit
+                while y != u and y != v:
+                    x = parent[y]
+                    out[x].remove(y)
+                    out[y].append(x)
+                    y = x
+                peb[y] += 1
+            if closure:
+                for x in _members(closure):
+                    covered = uncovered[x] & closure
+                    if covered:
+                        uncovered[x] ^= covered
+                        left -= covered.bit_count()
+                tight = _add_tight(tight, closure)
                 continue
         # spend v's pebble: in lexicographic order the next edges are u's
         peb[v] -= 1
-        out[v].add(u)
+        out[v].append(u)
         accepted.append((u, v))
-        uncovered.add((u, v) if u < v else (v, u))
-    return PebbleGame(
-        accepted, [e for e in accepted if (min(e), max(e)) in uncovered])
+        lo, hi = (u, v) if u < v else (v, u)
+        uncovered[lo] |= 1 << hi
+        left += 1
+    # an edge's bit sits at its lower end; the other shift reads 0
+    return PebbleGame(accepted, [
+        (u, v) for u, v in accepted
+        if (uncovered[u] >> v | uncovered[v] >> u) & 1])
 
 
 def pebble_rank(g: Graph) -> int:
@@ -169,12 +177,18 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
     rank exactly when it is a coloop, so the same game decides redundancy:
     rank 2n-3 and no coloops.
 
-    `kappa`, the caller's vertex connectivity of g, is trusted, not checked;
-    only redundantly rigid graphs on at least 4 vertices consult it.
+    A 6-connected graph needs no game: it is rigid (Lovasz & Yemini 1982)
+    and globally rigid (Jackson & Jordan 2005), hence redundantly rigid
+    (Hendrickson 1992), and not minimally rigid, since its minimum degree
+    of at least 6 gives m >= 3n > 2n-3.
+
+    `kappa`, the caller's vertex connectivity of g, is trusted, not checked.
     """
     if g.n < 1:
         raise ValueError("verdict needs at least 1 vertex")
     n = g.n
+    if kappa >= 6:
+        return RigidityVerdict(2 * n - 3, True, False, True, True)
     game = _run_pebble_game(n, g.edge_list())
     rank = game.rank
     rigid = rank == max(0, 2 * n - 3)

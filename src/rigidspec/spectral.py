@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,11 +20,18 @@ def spectral_radius(g: Graph) -> float:
     return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
 
 
-def algebraic_connectivity(g: Graph) -> float:
-    """Second-smallest Laplacian eigenvalue; positive iff connected."""
-    if g.n < 2:
-        raise ValueError("algebraic connectivity needs at least 2 vertices")
-    return float(np.linalg.eigvalsh(g.laplacian_matrix())[1])
+def _spectra(g: Graph) -> tuple[float, Optional[float]]:
+    """The spectral radius and, from 2 vertices on, the algebraic
+    connectivity (second-smallest Laplacian eigenvalue) of a graph with at
+    least 1 vertex.
+
+    One eigensolve of the adjacency matrix A stacked on the Laplacian
+    D - A: LAPACK solves each matrix of a stack on its own, so each value
+    is the one an eigensolve of that matrix alone gives.
+    """
+    a = g.adjacency_matrix()
+    vals = np.linalg.eigvalsh(np.stack((a, np.diag(a.sum(axis=1)) - a)))
+    return float(vals[0, -1]), float(vals[1, 1]) if g.n >= 2 else None
 
 
 # -- two-clique family: closed forms --------------------------------------

@@ -10,7 +10,7 @@ import csv
 import json
 import math
 from dataclasses import fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
@@ -40,11 +40,10 @@ from .rigidity import (
     rigidity_verdict,
 )
 from .spectral import (
-    algebraic_connectivity,
+    _spectra,
     complete_split_rho,
     hong_bound,
     linked_cliques_rho,
-    spectral_radius,
 )
 
 REPORT_TOL = 1e-9
@@ -123,8 +122,7 @@ def analyze_graph(g: Graph, graph6: Optional[str] = None,
     n, m = g.n, g.m
     delta = g.min_degree()
     kappa = vertex_connectivity(g) if n >= 2 else 0
-    rho = spectral_radius(g)
-    mu = algebraic_connectivity(g) if n >= 2 else None
+    rho, mu = _spectra(g)
     hb = hong_bound(n, m, delta) if delta >= 1 else None
     verdict = rigidity_verdict(g, kappa=kappa)
     thr_r = _threshold(n, delta, 2)
@@ -177,6 +175,13 @@ def _fmt_float(x: float) -> str:
     return format(x, ".12g")
 
 
+@lru_cache(maxsize=1024)
+def _encoded_key(key: str) -> str:
+    """A dict key as json_stable writes it, with its colon: reports repeat
+    a few dozen keys."""
+    return json.dumps(key) + ":"
+
+
 def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -195,8 +200,7 @@ def _emit(obj, out: list[str]) -> None:
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
+            out.append(_encoded_key(str(k)))
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):

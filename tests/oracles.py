@@ -414,6 +414,23 @@ def canonical_form(g: Graph) -> str:
     return write_graph6(canonical_graph(g))
 
 
+# -- one eigensolve per matrix --------------------------------------------
+
+
+def laplacian_matrix(g: Graph) -> np.ndarray:
+    """The Laplacian D - A as a float matrix."""
+    a = g.adjacency_matrix()
+    return np.diag(a.sum(axis=1)) - a
+
+
+def algebraic_connectivity(g: Graph) -> float:
+    """Second-smallest Laplacian eigenvalue, from an eigensolve of the
+    Laplacian alone; positive iff connected."""
+    if g.n < 2:
+        raise ValueError("algebraic connectivity needs at least 2 vertices")
+    return float(np.linalg.eigvalsh(laplacian_matrix(g))[1])
+
+
 # -- paper lemmas: quotients, Hong's bound, clique partitions -------------
 
 

@@ -349,6 +349,37 @@ def test_pair_flow_matches_definition(monkeypatch):
         assert builds == [g]
 
 
+def test_pair_bound_never_exceeds_the_local_connectivity(monkeypatch):
+    """The common-neighbour and matching bound against the per-pair dict
+    network on every non-adjacent pair of random graphs, the trap graph and
+    a bouquet; the flow is the same with and without it at every limit."""
+    rng = random.Random(1701)
+    graphs = [random_graph(rng, rng.randint(5, 18), rng.uniform(0.15, 0.9))
+              for _ in range(50)] + [TRAP, _bouquet(4)]
+    bound = graphcore._pair_bound
+    settled = pairs = 0
+    for g in graphs:
+        network = partial(graphcore._split_network, g)
+        for s, t in combinations(range(g.n), 2):
+            if g.adj[s] >> t & 1:
+                continue
+            expect = _local_connectivity_by_definition(g, s, t)
+            low = bound(g.adj, s, t, g.n)
+            assert low <= expect, (g.edge_list(), s, t)
+            assert bound(g.adj, t, s, g.n) <= expect, (g.edge_list(), t, s)
+            settled += 0 < low == expect
+            pairs += 1
+            for limit in range(expect + 2):
+                want = min(limit, expect)
+                assert _flow(g.adj, network, s, t, limit) == want
+                with monkeypatch.context() as m:
+                    m.setattr(graphcore, "_pair_bound", lambda *args: 0)
+                    assert _flow(g.adj, network, s, t, limit) == want
+    assert pairs > 800 and settled > pairs // 4
+    # the trap's second path is longer than 3 edges: only the flow finds it
+    assert bound(TRAP.adj, 0, 4, TRAP.n) == 1
+
+
 def _check_seeded_paths(g, s, t, paths):
     """Each path joins s to t along edges of g; no inner vertex is shared."""
     inner = set()
@@ -444,6 +475,10 @@ def test_components():
     g = Graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = {frozenset(c) for c in g.components()}
     assert comps == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})}
+    rng = random.Random(443)
+    for n in [0, 1, 2] + [rng.randint(2, 30) for _ in range(200)]:
+        g = random_graph(rng, n, rng.uniform(0.0, 0.3))
+        assert g.is_connected() == (len(g.components()) <= 1), g.edge_list()
 
 
 def test_adjacency_matrix_matches_the_edge_by_edge_fill():

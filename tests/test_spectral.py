@@ -1,12 +1,13 @@
 """Spectra, equitable quotients, closed forms, and degree-based bounds."""
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rigidspec import (
     Graph,
-    algebraic_connectivity,
     complete_graph,
     complete_split_graph,
     complete_split_rho,
@@ -17,13 +18,17 @@ from rigidspec import (
     linked_cliques_char_poly,
     linked_cliques_quotient,
     linked_cliques_rho,
+    parse_graph6,
     spectral_radius,
 )
+from rigidspec.spectral import _spectra
 from conftest import random_graph
 from oracles import (
+    algebraic_connectivity,
     brute_max_partition,
     edge_lower_bound,
     hong_equality_condition,
+    laplacian_matrix,
     max_clique_partition_edges,
     quotient_matrix,
 )
@@ -34,7 +39,7 @@ def test_spectrum_basics():
     assert abs(spectral_radius(cycle_graph(8)) - 2.0) < 1e-10
     assert spectral_radius(Graph(1)) == 0.0
     p3 = Graph(3, [(0, 1), (1, 2)])
-    lap = np.linalg.eigvalsh(p3.laplacian_matrix())
+    lap = np.linalg.eigvalsh(laplacian_matrix(p3))
     assert np.allclose(lap, [0.0, 1.0, 3.0], atol=1e-10)
     assert abs(algebraic_connectivity(complete_graph(7)) - 7.0) < 1e-10
     assert abs(algebraic_connectivity(Graph(4, [(0, 1), (2, 3)]))) < 1e-10
@@ -42,6 +47,30 @@ def test_spectrum_basics():
         spectral_radius(Graph(0))
     with pytest.raises(ValueError):
         algebraic_connectivity(Graph(1))
+
+
+def test_stacked_spectra_equal_one_eigensolve_per_matrix():
+    """rho and mu from the stacked eigensolve are the floats that separate
+    eigensolves give, on the benchmark's corpus-small seeds 1-10; a
+    disconnected graph's mu is eigensolver noise, and it matches too."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (perfbench / "corpora.py").is_file():
+        pytest.skip("no benchmark corpora next to the tests")
+    sys.path.insert(0, str(perfbench))
+    try:
+        import corpora
+    finally:
+        sys.path.remove(str(perfbench))
+    disconnected = 0
+    for seed in range(1, 11):
+        for item in corpora.corpus_small(seed, 300):
+            g = parse_graph6(item.graph6)
+            rho, mu = _spectra(g)
+            assert rho == spectral_radius(g), item.graph6
+            assert mu == algebraic_connectivity(g), item.graph6
+            disconnected += not g.is_connected()
+    assert disconnected >= 40
+    assert _spectra(Graph(1)) == (0.0, None)
 
 
 def test_radius_between_average_and_max_degree():

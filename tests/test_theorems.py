@@ -6,7 +6,8 @@
   global rigidity implies redundant rigidity (Hendrickson 1992).  So
   kappa >= 6 gives the verdict (2n-3, rigid, not minimally rigid,
   redundantly rigid, globally rigid); minimality fails because delta >= 6
-  gives m >= 3n > 2n-3.
+  gives m >= 3n > 2n-3.  rigidity_verdict returns that verdict without a
+  pebble game, so the theorems are checked against the game itself.
 - Cioaba, Dewar & Gu (2021): with delta >= 6, mu > 2 + 1/(delta-1)
   implies rigidity and mu > 2 + 2/(delta-1) global rigidity.
 - Hong-type bound: rho <= hong_bound(n, m, delta) when delta >= 1.
@@ -19,21 +20,34 @@ import random
 from functools import cache
 
 from rigidspec import (
-    algebraic_connectivity,
+    RigidityVerdict,
     hong_bound,
     linked_cliques,
     rigidity_verdict,
     spectral_radius,
     vertex_connectivity,
 )
+from rigidspec.rigidity import _run_pebble_game
 from conftest import random_graph, relabelled
+from oracles import algebraic_connectivity
 
 TOL = 1e-9
 
 
+def _game_verdict(g, kappa):
+    """The verdict that the pebble game gives at any connectivity, for
+    n >= 4: rank, coloops, and kappa >= 3 for global rigidity."""
+    game = _run_pebble_game(g.n, g.edge_list())
+    rigid = game.rank == 2 * g.n - 3
+    redundant = rigid and not game.coloops
+    return RigidityVerdict(game.rank, rigid, rigid and g.m == game.rank,
+                           redundant, redundant and kappa >= 3)
+
+
 @cache
 def _corpus():
-    """(graph, kappa, delta, mu, rho, verdict) for 220 seeded graphs."""
+    """(graph, kappa, delta, mu, rho, verdict of the game) for 220 seeded
+    graphs."""
     rng = random.Random(1982)
     graphs = []
     for _ in range(160):
@@ -50,7 +64,7 @@ def _corpus():
     for g in graphs:
         kappa = vertex_connectivity(g)
         out.append((g, kappa, g.min_degree(), algebraic_connectivity(g),
-                    spectral_radius(g), rigidity_verdict(g, kappa)))
+                    spectral_radius(g), _game_verdict(g, kappa)))
     return out
 
 
@@ -72,10 +86,14 @@ def test_fiedler_mu_at_most_kappa_at_most_delta():
 
 def test_six_connected_graphs_are_globally_rigid():
     for g, kappa, _, _, _, v in _corpus():
+        # at kappa >= 6 this checks the verdict's shortcut against the game
+        assert rigidity_verdict(g, kappa) == v, g.edge_list()
         if kappa >= 6:
-            assert (v.rank, v.rigid, v.minimally_rigid, v.redundantly_rigid,
-                    v.globally_rigid) == (2 * g.n - 3, True, False, True,
-                                          True), g.edge_list()
+            game = _run_pebble_game(g.n, g.edge_list())
+            assert game.rank == 2 * g.n - 3, g.edge_list()
+            assert not game.coloops, g.edge_list()
+            assert g.m > 2 * g.n - 3
+            assert v == RigidityVerdict(2 * g.n - 3, True, False, True, True)
         if v.globally_rigid:
             assert v.redundantly_rigid and kappa >= 3
 
