@@ -7,8 +7,9 @@
 # BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
 # sweeps at their README defaults (JSON, and CSV where the subcommand has
 # --format), `laman-extremal` up to the largest order it grows (n = 9, JSON
-# and CSV), `extremal --delta 9 --nmax 40 --seed 5`, `extremal` at seed 0
-# and at the rejected seed -1 (its stderr and exit code), and `analyze` on the
+# and CSV), `extremal --delta 9 --nmax 40` (at seed 5, and as CSV),
+# `extremal --delta 7 --nmax 60` for larger family members, `extremal` at
+# seed 0 and at the rejected seed -1 (its stderr and exit code), and `analyze` on the
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2; seeds 1-5 of
 # corpus-dense for denser rigidity verdicts, and seeds 1-10 of corpus-small,
 # whose disconnected graphs print eigensolver noise as their algebraic
@@ -48,6 +49,8 @@ runs=(
     "extremal --delta 6 --nmax 26"
     "extremal --delta 6 --nmax 26 --format csv"
     "extremal --delta 9 --nmax 40 --seed 5"
+    "extremal --delta 9 --nmax 40 --format csv"
+    "extremal --delta 7 --nmax 60"
     "extremal --delta 6 --nmax 26 --seed 0"
     "extremal --delta 6 --nmax 16 --seed=-1"
 )

@@ -3,14 +3,10 @@
 from .graphcore import (
     Graph,
     Graph6Error,
-    VertexPartition,
-    complete_graph,
     complete_split_graph,
-    cycle_graph,
     iter_graph6_lines,
     linked_cliques,
     parse_graph6,
-    partition_cut,
     vertex_connectivity,
     write_graph6,
 )
@@ -18,7 +14,6 @@ from .oracle import (
     DegeneratePlacementError,
     Placement,
     numeric_rank,
-    packing_condition_holds,
     packing_violation_search,
     random_placement,
     rigidity_matrix,
@@ -34,7 +29,6 @@ from .spectral import (
     CharQuartic,
     complete_split_rho,
     hong_bound,
-    hong_bound_function,
     linked_cliques_char_poly,
     linked_cliques_quotient,
     linked_cliques_rho,

@@ -1,4 +1,4 @@
-"""Simple-graph core: construction, graph6 corpus I/O, cuts, vertex connectivity.
+"""Simple-graph core: construction, graph6 corpus I/O, vertex connectivity.
 
 Vertices are always the dense integer range 0..n-1.  Graphs are immutable
 after construction so they can be shared freely across worker processes.
@@ -108,24 +108,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    # -- derived graphs ---------------------------------------------------
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edge_list() + [(u, v)])
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        e = (u, v) if u < v else (v, u)
-        edges = self.edge_list()
-        if e not in edges:
-            raise ValueError(f"edge {e} not present")
-        edges.remove(e)
-        return Graph(self.n, edges)
-
-    def with_vertex(self, neighbors: Iterable[int] = ()) -> "Graph":
-        """New graph with one extra vertex labelled n, joined to `neighbors`."""
-        w = self.n
-        return Graph(w + 1, self.edge_list() + [(x, w) for x in neighbors])
-
     # -- linear algebra views ---------------------------------------------
 
     def adjacency_matrix(self):
@@ -135,16 +117,6 @@ class Graph:
 
     def is_connected(self) -> bool:
         return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
-
-    def components(self) -> list[frozenset[int]]:
-        """Vertex sets of the components, in order of least vertex."""
-        out = []
-        left = (1 << self.n) - 1
-        while left:
-            comp = self._reach(left & -left)
-            left ^= comp
-            out.append(frozenset(_members(comp)))
-        return out
 
     def _reach(self, seed: int) -> int:
         """The vertices joined by paths to those of the bitmask seed."""
@@ -174,16 +146,6 @@ class Graph:
 
 
 # -- constructors ---------------------------------------------------------
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, combinations(range(n), 2))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def linked_cliques(n: int, n1: int, links: int) -> Graph:
@@ -319,81 +281,6 @@ def iter_graph6_lines(
         s = raw.strip()
         if s:
             yield i, s
-
-
-# -- vertex partitions and cuts -------------------------------------------
-
-
-def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    fs = frozenset(s)
-    for v in fs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return fs
-
-
-class VertexPartition:
-    """A removed set Z plus a partition of the remaining vertices.
-
-    Records the counts used by the packing inequality: `n_trivial` singleton
-    parts, `n_nontrivial` larger parts, and `z_adjacency`, the number of
-    edges joining a singleton part to Z.
-    """
-
-    __slots__ = ("graph", "z", "parts", "n_trivial", "n_nontrivial", "z_adjacency")
-
-    def __init__(self, graph: Graph, z: Iterable[int], parts: Sequence[Iterable[int]]):
-        zset = _check_subset(graph, z)
-        rest = frozenset(range(graph.n)) - zset
-        if not rest:
-            raise ValueError("Z must leave at least one vertex")
-        norm = []
-        seen: set[int] = set()
-        for p in parts:
-            fp = frozenset(p)
-            if not fp:
-                raise ValueError("empty part not allowed")
-            if not fp <= rest:
-                raise ValueError("part overlaps Z or leaves the vertex range")
-            if fp & seen:
-                raise ValueError("parts must be disjoint")
-            seen |= fp
-            norm.append(fp)
-        if seen != rest:
-            raise ValueError("parts must cover every vertex outside Z")
-        trivial = [p for p in norm if len(p) == 1]
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "z", zset)
-        object.__setattr__(self, "parts", tuple(norm))
-        object.__setattr__(self, "n_trivial", len(trivial))
-        object.__setattr__(self, "n_nontrivial", len(norm) - len(trivial))
-        zmask = sum(1 << v for v in zset)
-        zadj = 0
-        for p in trivial:
-            (v,) = p
-            zadj += (graph.adj[v] & zmask).bit_count()
-        object.__setattr__(self, "z_adjacency", zadj)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexPartition is immutable")
-
-    def __repr__(self):
-        return (
-            f"VertexPartition(|Z|={len(self.z)}, parts={len(self.parts)}, "
-            f"trivial={self.n_trivial})"
-        )
-
-
-def partition_cut(g: Graph, vp: VertexPartition) -> int:
-    """Edges of g - Z whose endpoints lie in different parts of vp."""
-    if vp.graph != g:
-        raise ValueError("partition was built for a different graph")
-    masks = [sum(1 << v for v in p) for p in vp.parts]
-    rest = sum(masks)
-    # each crossing edge is seen once from either end
-    crossing = sum((g.adj[v] & rest & ~mask).bit_count()
-                   for p, mask in zip(vp.parts, masks) for v in p)
-    return crossing // 2
 
 
 # -- vertex connectivity --------------------------------------------------

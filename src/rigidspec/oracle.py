@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphcore import Graph, VertexPartition, _members, partition_cut
+from .graphcore import Graph, _members
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -88,75 +88,58 @@ def numeric_rank(g: Graph, pl: Placement) -> int:
 
 # -- packing inequality ---------------------------------------------------
 #
-# For k spanning rigid subgraphs to exist, every removed set Z with
-# |Z| <= 2 and every partition P of the rest must satisfy
-#   crossing_edges(P)  >=  k(3-|Z|)(#nontrivial) + 2k(#trivial) - 3k - z_adjacency.
-# A violating (Z, P) certifies that the packing is impossible.
+# A graph with a spanning rigid subgraph has, for every partition of its
+# vertices into t parts of which s are singletons, at least
+#   3(t - s) + 2s - 3
+# crossing edges (Lovasz & Yemini 1982).  A partition with fewer certifies
+# that the graph is not rigid.
 
 
-def packing_condition_holds(g: Graph, k: int, vp: VertexPartition) -> bool:
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if len(vp.z) > 2:
-        raise ValueError(f"|Z| must be at most 2, got {len(vp.z)}")
-    rhs = (
-        k * (3 - len(vp.z)) * vp.n_nontrivial
-        + 2 * k * vp.n_trivial
-        - 3 * k
-        - vp.z_adjacency
-    )
-    return partition_cut(g, vp) >= rhs
+def packing_violation_search(g: Graph) -> Optional[list[int]]:
+    """First vertex partition with too few crossing edges for a spanning
+    rigid subgraph, as the bitmasks of its parts, or None.
+
+    Tries a deterministic family of candidate partitions in order: the
+    singletons, the components when there are more than one, then each
+    closed neighbourhood and each greedy clique against the rest.  So it
+    scales to larger graphs but can miss a witness.
+    """
+    adj = g.adj
+    seen: set[frozenset[int]] = set()
+    for parts in _partition_candidates(g):
+        sig = frozenset(parts)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        # each crossing edge is seen once from either end
+        crossing = sum((adj[v] & ~p).bit_count()
+                       for p in parts for v in _members(p)) // 2
+        singles = sum(p & (p - 1) == 0 for p in parts)
+        if crossing < 3 * len(parts) - singles - 3:
+            return parts
+    return None
 
 
-def _structured_candidates(g: Graph, zset: frozenset[int]) -> Iterator[list[list[int]]]:
-    rest = sorted(set(range(g.n)) - zset)
-    if not rest:
-        return
-    yield [[v] for v in rest]
-    # without its edges each Z vertex is a singleton component; the rest
-    # are the components of g - Z, in order of least vertex
-    g_z = Graph(g.n, [e for e in g.edge_list() if zset.isdisjoint(e)])
-    comps = [sorted(c) for c in g_z.components() if not c <= zset]
+def _partition_candidates(g: Graph) -> Iterator[list[int]]:
+    full = (1 << g.n) - 1
+    yield [1 << v for v in range(g.n)]
+    comps = []
+    left = full
+    while left:
+        comps.append(g._reach(left & -left))
+        left ^= comps[-1]
     if len(comps) > 1:
         yield comps
-    restmask = sum(1 << v for v in rest)
-    for v in rest:
-        block = g.adj[v] & restmask | 1 << v
-        if restmask & ~block:
-            yield [_members(block), _members(restmask & ~block)]
-    for v in rest:
+    for v in range(g.n):
+        block = g.adj[v] | 1 << v
+        if full & ~block:
+            yield [block, full ^ block]
+    for v in range(g.n):
         # greedy clique: common holds the vertices adjacent to all of it
         clique, common = 1 << v, g.adj[v]
-        for w in rest:
+        for w in range(g.n):
             if common >> w & 1:
                 clique |= 1 << w
                 common &= g.adj[w]
-        if restmask & ~clique:
-            yield [_members(clique), _members(restmask & ~clique)]
-
-
-def packing_violation_search(
-    g: Graph, k: int, zmax: int = 2
-) -> Optional[VertexPartition]:
-    """First (Z, partition) violating the packing inequality, or None.
-
-    Tries every Z up to zmax with a deterministic family of candidate
-    partitions of the rest (singletons, components, closed neighbourhoods,
-    greedy cliques), so it scales to larger graphs but can miss a witness.
-    """
-    if zmax < 0 or zmax > 2:
-        raise ValueError(f"zmax must be in 0..2, got {zmax}")
-    verts = range(g.n)
-    for zsize in range(min(zmax, g.n - 1) + 1):
-        for z in combinations(verts, zsize):
-            zset = frozenset(z)
-            seen_sig: set[frozenset[frozenset[int]]] = set()
-            for parts in _structured_candidates(g, zset):
-                sig = frozenset(frozenset(p) for p in parts)
-                if sig in seen_sig:
-                    continue
-                seen_sig.add(sig)
-                vp = VertexPartition(g, zset, parts)
-                if not packing_condition_holds(g, k, vp):
-                    return vp
-    return None
+        if full & ~clique:
+            yield [clique, full ^ clique]

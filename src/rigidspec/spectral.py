@@ -40,20 +40,10 @@ def _spectra(g: Graph) -> tuple[float, Optional[float]]:
 @dataclass(frozen=True)
 class CharQuartic:
     """Monic integer quartic vanishing at the four quotient eigenvalues of
-    the two-clique family with the given parameters.
-
-    `parameters_linked` is False outside the range links >= 2,
-    a >= links + 1, n >= 2a + 2 where the downstream monotonicity
-    statements are asserted; the polynomial itself is still the exact
-    quotient characteristic polynomial whenever all four classes are
-    nonempty.
-    """
+    the two-clique family: the exact quotient characteristic polynomial
+    whenever all four classes are nonempty."""
 
     coefficients: tuple[int, int, int, int, int]
-    n: int
-    a: int
-    links: int
-    parameters_linked: bool
 
     def evaluate(self, x: int | float) -> int | float:
         """The quartic at x by Horner's rule: exact for an int x, a float
@@ -96,8 +86,7 @@ def linked_cliques_char_poly(n: int, a: int, links: int) -> CharQuartic:
         2 * (a * n - a * a - i - n + 1),
         -i * i + i * n - 2 * i,
     )
-    in_range = i >= 2 and a >= i + 1 and n >= 2 * a + 2
-    return CharQuartic(coeffs, n, a, i, in_range)
+    return CharQuartic(coeffs)
 
 
 def linked_cliques_rho(n: int, a: int, links: int) -> float:
@@ -151,23 +140,17 @@ def complete_split_rho(n: int) -> float:
 
 
 def hong_bound(n: int, m: int, delta: int) -> float:
-    """Hong-type spectral radius upper bound from order, size, min degree."""
+    """Hong-type spectral radius upper bound from order, size, min degree:
+    (delta - 1)/2 + sqrt(2m - n delta + (1 + delta)^2 / 4)."""
     if delta < 1:
         raise ValueError(f"need delta >= 1, got {delta}")
-    return hong_bound_function(n, m, delta)
-
-
-def hong_bound_function(p: int, q: int, x: float) -> float:
-    """The same bound viewed as a function of the degree argument x, with
-    p vertices and q edges fixed.  Decreasing on 0 <= x <= p - 1 provided
-    2q <= p(p-1), strictly so iff 2q < p(p-1)."""
-    if p < 1 or q < 0:
-        raise ValueError(f"need p >= 1, q >= 0: {(p, q)}")
-    if not 0 <= x <= p - 1:
-        raise ValueError(f"x={x} outside [0, {p - 1}]")
-    if 2 * q > p * (p - 1):
-        raise ValueError(f"2q={2 * q} exceeds p(p-1)={p * (p - 1)}")
-    radicand = 2.0 * q - p * x + (1.0 + x) ** 2 / 4.0
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1, m >= 0: {(n, m)}")
+    if delta > n - 1:
+        raise ValueError(f"delta={delta} outside [1, {n - 1}]")
+    if 2 * m > n * (n - 1):
+        raise ValueError(f"2m={2 * m} exceeds n(n-1)={n * (n - 1)}")
+    radicand = 2.0 * m - n * delta + (1.0 + delta) ** 2 / 4.0
     if radicand < 0.0:
-        raise ValueError(f"radicand negative at x={x}")
-    return (x - 1.0) / 2.0 + math.sqrt(radicand)
+        raise ValueError(f"radicand negative at delta={delta}")
+    return (delta - 1.0) / 2.0 + math.sqrt(radicand)

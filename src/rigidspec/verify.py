@@ -29,7 +29,6 @@ from .graphcore import (
 )
 from .oracle import (
     numeric_rank,
-    packing_condition_holds,
     packing_violation_search,
     random_placement,
 )
@@ -404,18 +403,12 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
     rows = []
     ok = True
     a = delta + 1
+    small = (1 << a) - 1
     for n in range(2 * delta + 4, nmax + 1):
         b2 = linked_cliques(n, a, 2)
         b3 = linked_cliques(n, a, 3)
-        witness = packing_violation_search(b2, 1, zmax=0)
-        wit_ok = (
-            witness is not None
-            and not witness.z
-            and len(witness.parts) == 2
-            and {frozenset(p) for p in witness.parts}
-            == {frozenset(range(a)), frozenset(range(a, n))}
-            and not packing_condition_holds(b2, 1, witness)
-        )
+        witness = packing_violation_search(b2)
+        full = (1 << n) - 1
         pl = random_placement(n, seed)
         kappa3 = vertex_connectivity(b3)
         v3 = rigidity_verdict(b3, kappa=kappa3)
@@ -424,13 +417,13 @@ def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
             "b2_connectivity": vertex_connectivity(b2) == 2,
             "b2_rank": pebble_rank(b2) == 2 * n - 4,
             "b2_numeric_rank": numeric_rank(b2, pl) == 2 * n - 4,
-            "b2_witness": wit_ok,
+            "b2_witness": (witness is not None
+                           and set(witness) == {small, full ^ small}),
             "b3_min_degree": b3.min_degree() == delta,
             "b3_connectivity": kappa3 == 3,
             "b3_rank": v3.rank == 2 * n - 3,
             "b3_numeric_rank": numeric_rank(b3, pl) == 2 * n - 3,
-            "b3_no_witness": packing_violation_search(
-                b3, 1, zmax=0) is None,
+            "b3_no_witness": packing_violation_search(b3) is None,
             "b3_rigid_not_redundant": not v3.redundantly_rigid,
             "b3_not_globally_rigid": not v3.globally_rigid,
         }

@@ -71,9 +71,8 @@ def relabelled(rng, g):
 
 def with_random_edges(rng, g, count):
     missing = [(u, v) for u, v in vertex_pairs(g.n) if not g.adj[u] >> v & 1]
-    for e in rng.sample(missing, min(count, len(missing))):
-        g = g.with_edge(*e)
-    return g
+    return Graph(g.n, g.edge_list()
+                 + rng.sample(missing, min(count, len(missing))))
 
 
 def pair_permutation_tables(n):

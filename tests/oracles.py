@@ -14,15 +14,54 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from rigidspec import (Graph, PebbleGame, Placement, RigidityVerdict,
-                       VertexPartition, packing_condition_holds, rigidity,
-                       rigidity_verdict, vertex_connectivity, write_graph6)
-from rigidspec.graphcore import (GRAPH6_HEADER, Graph6Error, _check_subset,
-                                 _g6_parse_n, _members)
+                       rigidity, rigidity_verdict, vertex_connectivity,
+                       write_graph6)
+from rigidspec.graphcore import GRAPH6_HEADER, Graph6Error, _g6_parse_n, _members
 
 Edge = tuple[int, int]
 
 
+# -- small graphs and their edits ------------------------------------------
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, combinations(range(n), 2))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def with_edge(g: Graph, u: int, v: int) -> Graph:
+    return Graph(g.n, g.edge_list() + [(u, v)])
+
+
+def without_edge(g: Graph, u: int, v: int) -> Graph:
+    e = (u, v) if u < v else (v, u)
+    edges = g.edge_list()
+    if e not in edges:
+        raise ValueError(f"edge {e} not present")
+    edges.remove(e)
+    return Graph(g.n, edges)
+
+
+def with_vertex(g: Graph, neighbors: Iterable[int] = ()) -> Graph:
+    """New graph with one extra vertex labelled n, joined to `neighbors`."""
+    w = g.n
+    return Graph(w + 1, g.edge_list() + [(x, w) for x in neighbors])
+
+
 # -- counting and rigidity by definition ----------------------------------
+
+
+def _check_subset(g: Graph, s: Iterable[int]) -> frozenset[int]:
+    fs = frozenset(s)
+    for v in fs:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return fs
 
 
 def boundary_size(g: Graph, subset: Iterable[int]) -> int:
@@ -293,8 +332,61 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
             rgs[t] = 0
 
 
-def exhaustive_packing_violation(g: Graph, k: int,
-                                 zmax: int) -> Optional[VertexPartition]:
+# -- packing inequality ---------------------------------------------------
+#
+# For k spanning rigid subgraphs to exist, every removed set Z with
+# |Z| <= 2 and every partition P of the rest must satisfy
+#   crossing_edges(P)  >=  k(3-|Z|)(#nontrivial) + 2k(#trivial) - 3k - z_adjacency,
+# where z_adjacency counts the edges joining a singleton part to Z.
+# A violating (Z, P) certifies that the packing is impossible.
+
+
+def packing_terms(g: Graph, z: Iterable[int], parts: Sequence[Iterable[int]]
+                  ) -> tuple[int, int, int, int]:
+    """(crossing edges of g - Z between different parts, z_adjacency,
+    #trivial, #nontrivial) of a partition of the vertices outside Z."""
+    zset = _check_subset(g, z)
+    rest = frozenset(range(g.n)) - zset
+    if not rest:
+        raise ValueError("Z must leave at least one vertex")
+    norm: list[frozenset[int]] = []
+    for p in parts:
+        fp = frozenset(p)
+        if not fp:
+            raise ValueError("empty part not allowed")
+        if not fp <= rest:
+            raise ValueError("part overlaps Z or leaves the vertex range")
+        if any(fp & q for q in norm):
+            raise ValueError("parts must be disjoint")
+        norm.append(fp)
+    if frozenset().union(*norm) != rest:
+        raise ValueError("parts must cover every vertex outside Z")
+    part_of = {v: i for i, p in enumerate(norm) for v in p}
+    singles = {v for p in norm if len(p) == 1 for v in p}
+    edges = g.edge_list()
+    crossing = sum(1 for u, v in edges if u in part_of and v in part_of
+                   and part_of[u] != part_of[v])
+    z_adjacency = sum(1 for u, v in edges
+                      if u in zset and v in singles or v in zset and u in singles)
+    return crossing, z_adjacency, len(singles), len(norm) - len(singles)
+
+
+def packing_holds(g: Graph, k: int, z: Iterable[int],
+                  parts: Sequence[Iterable[int]]) -> bool:
+    """Whether (Z, parts) satisfies the packing inequality for k."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    zset = frozenset(z)
+    if len(zset) > 2:
+        raise ValueError(f"|Z| must be at most 2, got {len(zset)}")
+    crossing, z_adjacency, trivial, nontrivial = packing_terms(g, zset, parts)
+    return crossing >= (k * (3 - len(zset)) * nontrivial + 2 * k * trivial
+                        - 3 * k - z_adjacency)
+
+
+def exhaustive_packing_violation(
+    g: Graph, k: int, zmax: int
+) -> Optional[tuple[frozenset[int], list[list[int]]]]:
     """First (Z, partition) violating the packing inequality over every Z
     up to zmax and every partition of the rest, or None.  n <= 10 only."""
     if zmax < 0 or zmax > 2:
@@ -306,9 +398,8 @@ def exhaustive_packing_violation(g: Graph, k: int,
         for z in combinations(verts, zsize):
             rest = [v for v in verts if v not in z]
             for parts in set_partitions(rest):
-                vp = VertexPartition(g, z, parts)
-                if not packing_condition_holds(g, k, vp):
-                    return vp
+                if not packing_holds(g, k, z, parts):
+                    return frozenset(z), parts
     return None
 
 
@@ -483,6 +574,23 @@ def quotient_matrix(g: Graph,
                 equitable = False
             entries[i, j] = sum(counts) / len(ci)
     return QuotientMatrix(tuple(norm), entries, equitable)
+
+
+def hong_bound_function(p: int, q: int, x: float) -> float:
+    """Hong's bound (x - 1)/2 + sqrt(2q - px + (1 + x)^2 / 4) as a function
+    of the degree argument x, with p vertices and q edges fixed.
+    Decreasing on 0 <= x <= p - 1 provided 2q <= p(p-1), strictly so iff
+    2q < p(p-1)."""
+    if p < 1 or q < 0:
+        raise ValueError(f"need p >= 1, q >= 0: {(p, q)}")
+    if not 0 <= x <= p - 1:
+        raise ValueError(f"x={x} outside [0, {p - 1}]")
+    if 2 * q > p * (p - 1):
+        raise ValueError(f"2q={2 * q} exceeds p(p-1)={p * (p - 1)}")
+    radicand = 2.0 * q - p * x + (1.0 + x) ** 2 / 4.0
+    if radicand < 0.0:
+        raise ValueError(f"radicand negative at x={x}")
+    return (x - 1.0) / 2.0 + math.sqrt(radicand)
 
 
 def hong_equality_condition(g: Graph) -> bool:

@@ -30,12 +30,10 @@ import numpy as np
 import pytest
 
 from rigidspec import (
-    complete_graph,
     complete_split_graph,
     complete_split_rho,
     extremal_family_report,
     hong_bound,
-    hong_bound_function,
     linked_cliques,
     linked_cliques_char_poly,
     linked_cliques_quotient,
@@ -52,7 +50,9 @@ from oracles import (
     brute_minimally_rigid,
     brute_sparse_rank,
     canonical_form,
+    complete_graph,
     cut_size_law_holds,
+    hong_bound_function,
     max_clique_partition_edges,
 )
 

@@ -6,14 +6,13 @@ import pytest
 from rigidspec import (
     Graph,
     Graph6Error,
-    complete_graph,
     linked_cliques,
     parse_graph6,
     write_graph6,
 )
 from rigidspec.graphcore import iter_graph6_lines
 from conftest import random_graph, to_networkx
-from oracles import reference_parse_graph6
+from oracles import complete_graph, reference_parse_graph6
 
 
 def test_known_encodings():

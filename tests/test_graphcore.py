@@ -10,12 +10,8 @@ import pytest
 
 from rigidspec import (
     Graph,
-    VertexPartition,
-    complete_graph,
     complete_split_graph,
-    cycle_graph,
     linked_cliques,
-    partition_cut,
     vertex_connectivity,
 )
 from rigidspec import graphcore
@@ -28,7 +24,16 @@ from conftest import (
     to_networkx,
     with_random_edges,
 )
-from oracles import boundary_size, induced_edge_count
+from oracles import (
+    boundary_size,
+    complete_graph,
+    cycle_graph,
+    induced_edge_count,
+    packing_terms,
+    with_edge,
+    with_vertex,
+    without_edge,
+)
 
 
 def test_construction_validation():
@@ -85,12 +90,12 @@ def test_handshake_on_random_graphs():
 
 def test_edge_operations():
     g = complete_graph(4)
-    h = g.without_edge(0, 1)
+    h = without_edge(g, 0, 1)
     assert h.m == 5 and not h.adj[0] >> 1 & 1
-    assert h.with_edge(0, 1) == g
+    assert with_edge(h, 0, 1) == g
     with pytest.raises(ValueError):
-        h.without_edge(0, 1)
-    k = g.with_vertex((0, 2))
+        without_edge(h, 0, 1)
+    k = with_vertex(g, (0, 2))
     assert k.n == 5 and k.degree(4) == 2
 
 
@@ -161,41 +166,32 @@ def test_induced_edge_count_basics():
 
 def test_vertex_partition_counts():
     g = complete_graph(5)
-    vp = VertexPartition(g, [0], [[1], [2], [3], [4]])
-    assert vp.n_trivial == 4 and vp.n_nontrivial == 0
-    assert vp.z_adjacency == 4
-    assert partition_cut(g, vp) == 6
-
-    vp2 = VertexPartition(g, [], [[0, 1], [2, 3, 4]])
-    assert vp2.n_trivial == 0 and vp2.n_nontrivial == 2
-    assert vp2.z_adjacency == 0
-    assert partition_cut(g, vp2) == 6
+    # (crossing, z_adjacency, #trivial, #nontrivial)
+    assert packing_terms(g, [0], [[1], [2], [3], [4]]) == (6, 4, 4, 0)
+    assert packing_terms(g, [], [[0, 1], [2, 3, 4]]) == (6, 0, 0, 2)
 
 
 def test_vertex_partition_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
-        VertexPartition(g, [], [[0, 1], [1, 2, 3]])
+        packing_terms(g, [], [[0, 1], [1, 2, 3]])
     with pytest.raises(ValueError):
-        VertexPartition(g, [], [[0, 1]])
+        packing_terms(g, [], [[0, 1]])
     with pytest.raises(ValueError):
-        VertexPartition(g, [0], [[1], [], [2, 3]])
+        packing_terms(g, [0], [[1], [], [2, 3]])
     with pytest.raises(ValueError):
-        VertexPartition(g, [0], [[0], [1, 2, 3]])
+        packing_terms(g, [0], [[0], [1, 2, 3]])
     with pytest.raises(ValueError):
-        VertexPartition(g, range(4), [])
-    vp = VertexPartition(g, [], [[0, 1], [2, 3]])
+        packing_terms(g, range(4), [])
     with pytest.raises(ValueError):
-        partition_cut(complete_graph(5), vp)
+        packing_terms(g, [], [[0, 1], [2, 3, 4]])
 
 
 def test_partition_cut_cases():
     b2 = linked_cliques(16, 7, 2)
-    vp = VertexPartition(b2, [], [range(7), range(7, 16)])
-    assert partition_cut(b2, vp) == 2
+    assert packing_terms(b2, [], [range(7), range(7, 16)])[0] == 2
     g = complete_graph(6)
-    singletons = VertexPartition(g, [], [[v] for v in range(6)])
-    assert partition_cut(g, singletons) == g.m
+    assert packing_terms(g, [], [[v] for v in range(6)])[0] == g.m
 
 
 def test_vertex_connectivity_known_values():
@@ -444,7 +440,7 @@ def _connectivity_corpus(rng):
         graphs.append(relabelled(rng, Graph(z + 2 * m, edges)))
     for n in range(10, 41, 3):
         u, v = rng.sample(range(n), 2)
-        graphs.append(complete_graph(n).without_edge(u, v))
+        graphs.append(without_edge(complete_graph(n), u, v))
         a = rng.randint(1, n - 1)
         graphs.append(relabelled(rng, Graph(
             n, [(x, y) for x in range(a) for y in range(a, n)])))
@@ -472,13 +468,24 @@ def test_connectivity_at_benchmark_sizes_vs_networkx():
 
 
 def test_components():
-    g = Graph(6, [(0, 1), (1, 2), (4, 5)])
-    comps = {frozenset(c) for c in g.components()}
-    assert comps == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4, 5})}
+    # connected iff one flood from vertex 0 reaches every vertex
+    def flood(g):
+        seen, todo = {0}, [0]
+        while todo:
+            u = todo.pop()
+            for w in range(g.n):
+                if g.adj[u] >> w & 1 and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    assert not Graph(6, [(0, 1), (1, 2), (4, 5)]).is_connected()
+    assert Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).is_connected()
     rng = random.Random(443)
     for n in [0, 1, 2] + [rng.randint(2, 30) for _ in range(200)]:
         g = random_graph(rng, n, rng.uniform(0.0, 0.3))
-        assert g.is_connected() == (len(g.components()) <= 1), g.edge_list()
+        assert g.is_connected() == (n <= 1 or len(flood(g)) == n), \
+            g.edge_list()
 
 
 def test_adjacency_matrix_matches_the_edge_by_edge_fill():

@@ -8,27 +8,28 @@ from rigidspec import (
     DegeneratePlacementError,
     Graph,
     Placement,
-    VertexPartition,
-    complete_graph,
-    cycle_graph,
     linked_cliques,
     numeric_rank,
-    packing_condition_holds,
     packing_violation_search,
-    partition_cut,
     pebble_rank,
     random_placement,
     rigidity_matrix,
 )
+from rigidspec.graphcore import _members
 from conftest import all_labeled_graphs, random_graph
 from oracles import (
     brute_minimally_rigid,
     brute_sparse_rank,
+    complete_graph,
     cut_size_law_holds,
+    cycle_graph,
     exhaustive_packing_violation,
+    packing_holds,
+    packing_terms,
     set_partitions,
     trivial_motion_space,
     verdict_of,
+    without_edge,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877]
@@ -134,7 +135,7 @@ def test_brute_sparse_rank_random():
 
 
 def test_brute_minimally_rigid_examples():
-    assert brute_minimally_rigid(complete_graph(4).without_edge(0, 1))
+    assert brute_minimally_rigid(without_edge(complete_graph(4), 0, 1))
     assert not brute_minimally_rigid(complete_graph(4))
     assert not brute_minimally_rigid(cycle_graph(5))
     k33 = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
@@ -159,46 +160,74 @@ def test_set_partitions_bell_counts():
 
 def test_packing_condition_known_cases():
     c6 = cycle_graph(6)
-    singles = VertexPartition(c6, [], [[v] for v in range(6)])
-    assert not packing_condition_holds(c6, 1, singles)  # 6 < 2n-3 = 9
+    singles = [[v] for v in range(6)]
+    assert not packing_holds(c6, 1, [], singles)  # 6 < 2n-3 = 9
     k7 = complete_graph(7)
-    singles7 = VertexPartition(k7, [], [[v] for v in range(7)])
-    assert packing_condition_holds(k7, 1, singles7)  # 21 >= 11
+    assert packing_holds(k7, 1, [], [[v] for v in range(7)])  # 21 >= 11
     with pytest.raises(ValueError):
-        packing_condition_holds(c6, 0, singles)
-    big_z = VertexPartition(c6, [0, 1, 2], [[3], [4], [5]])
+        packing_holds(c6, 0, [], singles)
     with pytest.raises(ValueError):
-        packing_condition_holds(c6, 1, big_z)
+        packing_holds(c6, 1, [0, 1, 2], [[3], [4], [5]])
 
 
 def test_packing_violation_search_modes():
     c6 = cycle_graph(6)
     w = exhaustive_packing_violation(c6, 1, zmax=2)
     assert w is not None
-    assert not packing_condition_holds(c6, 1, w)
+    assert not packing_holds(c6, 1, *w)
     assert exhaustive_packing_violation(complete_graph(7), 1, zmax=2) is None
     # the structured search agrees on both
-    w = packing_violation_search(c6, 1, zmax=2)
+    w = packing_violation_search(c6)
     assert w is not None
-    assert not packing_condition_holds(c6, 1, w)
-    assert packing_violation_search(complete_graph(7), 1, zmax=2) is None
+    assert not packing_holds(c6, 1, [], [_members(p) for p in w])
+    assert packing_violation_search(complete_graph(7)) is None
     with pytest.raises(ValueError):
         exhaustive_packing_violation(complete_graph(4), 1, zmax=3)
-    with pytest.raises(ValueError):
-        packing_violation_search(complete_graph(4), 1, zmax=3)
     with pytest.raises(ValueError):
         exhaustive_packing_violation(Graph(12), 1, zmax=2)
 
 
 def test_packing_witness_for_two_clique_family():
     b2 = linked_cliques(18, 7, 2)
-    w = packing_violation_search(b2, 1, zmax=0)
-    assert w is not None and not w.z
-    assert {frozenset(p) for p in w.parts} == {
-        frozenset(range(7)), frozenset(range(7, 18))
-    }
-    assert partition_cut(b2, w) == 2
-    assert not packing_condition_holds(b2, 1, w)
+    w = packing_violation_search(b2)
+    assert w is not None and set(w) == {(1 << 7) - 1, (1 << 18) - (1 << 7)}
+    parts = [_members(p) for p in w]
+    assert packing_terms(b2, [], parts)[0] == 2
+    assert not packing_holds(b2, 1, [], parts)
+
+
+def _search_agrees_one_sided(g, exhaustive):
+    """Whether the search finds a witness on g.  A witness must partition
+    V and violate the exhaustive search's inequality; with `exhaustive`
+    the exhaustive search must find one too, so that the search finds none
+    where the exhaustive search finds none."""
+    w = packing_violation_search(g)
+    if w is not None:
+        # packing_terms rejects masks that do not partition V
+        assert not packing_holds(g, 1, [], [_members(p) for p in w]), \
+            g.edge_list()
+        if exhaustive:
+            assert exhaustive_packing_violation(g, 1, zmax=0) is not None
+    return w is not None
+
+
+def test_packing_violation_search_against_exhaustive():
+    # the exhaustive search tries every partition, the witness among them,
+    # so a violating witness implies that it finds one; it is run itself
+    # where that is cheap
+    found = sum(_search_agrees_one_sided(g, n <= 5)
+                for n in range(7) for g in all_labeled_graphs(n))
+    rng = random.Random(127)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(7, 9), rng.uniform(0.3, 0.9))
+        found += _search_agrees_one_sided(g, True)
+    assert found > 20000
+    for delta in range(6, 10):
+        for n in range(2 * delta + 4, 2 * delta + 12):
+            a = delta + 1
+            w = packing_violation_search(linked_cliques(n, a, 2))
+            assert w is not None and sorted(w) == [(1 << a) - 1,
+                                                   (1 << n) - (1 << a)]
 
 
 def test_rigid_graphs_admit_no_violation():
@@ -223,8 +252,7 @@ def test_sparse_graphs_always_caught():
         g = random_graph(rng, n, 0.25)
         if g.m >= 2 * n - 3:
             continue
-        w = packing_violation_search(g, 1, zmax=0)
-        assert w is not None
+        assert packing_violation_search(g) is not None
 
 
 def test_cut_size_law_exhaustive_small():

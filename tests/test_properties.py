@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from rigidspec import (  # noqa: E402
     Graph,
     analyze_graph,
-    complete_graph,
     json_stable,
     numeric_rank,
     parse_graph6,
@@ -24,6 +23,7 @@ from rigidspec import (  # noqa: E402
 from rigidspec.rigidity import _run_pebble_game  # noqa: E402
 from rigidspec.verify import REPORT_TOL  # noqa: E402
 from oracles import (  # noqa: E402
+    complete_graph,
     reference_parse_graph6,
     reference_pebble_game,
     reference_write_graph6,

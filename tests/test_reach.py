@@ -17,11 +17,9 @@ from rigidspec.cli import main as cli_main
 
 PACKAGE = Path(rigidspec.__file__).resolve().parent
 
-# the documented API, the small constructors and Graph's builder methods
-ALLOWED = {
-    "complete_graph", "cycle_graph", "complete_split_graph", "linked_cliques",
-    "Graph.with_edge", "Graph.without_edge", "Graph.with_vertex",
-}
+# the builders of the paper's two extremal families: documented API,
+# whether or not a subcommand runs them
+ALLOWED = {"complete_split_graph", "linked_cliques"}
 
 # seeding stalls on the trap graph: the shortest path 0-1-3-4 blocks both
 # disjoint paths 0-1-5-6-4 and 0-2-7-3-4, so connectivity builds the split

@@ -8,10 +8,8 @@ import pytest
 
 from rigidspec import (
     Graph,
-    complete_graph,
     complete_split_graph,
     complete_split_rho,
-    cycle_graph,
     laman_extremal_report,
     linked_cliques,
     minimally_rigid_levels,
@@ -41,10 +39,15 @@ from oracles import (
     brute_minimally_rigid,
     canonical_form,
     canonical_graph,
+    complete_graph,
+    cycle_graph,
     reference_canonical_rows,
     reference_pebble_game,
     reference_refinement_rounds,
     verdict_of,
+    with_edge,
+    with_vertex,
+    without_edge,
 )
 
 # census of minimally rigid graphs per order, from the published tables
@@ -136,7 +139,7 @@ def test_pebble_rank_monotone_under_edge_addition():
         if not missing:
             continue
         e = rng.choice(missing)
-        r0, r1 = pebble_rank(g), pebble_rank(g.with_edge(*e))
+        r0, r1 = pebble_rank(g), pebble_rank(with_edge(g, *e))
         assert r0 <= r1 <= r0 + 1
 
 
@@ -161,7 +164,7 @@ def test_independent_basis_is_sparse_and_spanning():
 def test_predicates_known_graphs():
     assert verdict_of(complete_graph(4)).rigid
     assert not verdict_of(cycle_graph(4)).rigid
-    k4e = complete_graph(4).without_edge(0, 1)
+    k4e = without_edge(complete_graph(4), 0, 1)
     assert verdict_of(k4e).minimally_rigid
     assert not verdict_of(complete_graph(4)).minimally_rigid
     assert not verdict_of(cycle_graph(5)).minimally_rigid
@@ -198,7 +201,7 @@ def _redundant_by_definition(g):
     if pebble_rank(g) != target:
         return False
     return all(
-        pebble_rank(g.without_edge(u, v)) == target for u, v in g.edge_list()
+        pebble_rank(without_edge(g, u, v)) == target for u, v in g.edge_list()
     )
 
 
@@ -220,7 +223,8 @@ def test_redundancy_shortcut_matches_definition_random():
 def _coloops_by_rerun(g):
     """Edges whose deletion drops the pebble rank: one game per edge."""
     rank = pebble_rank(g)
-    return {e for e in g.edge_list() if pebble_rank(g.without_edge(*e)) < rank}
+    return {e for e in g.edge_list()
+            if pebble_rank(without_edge(g, *e)) < rank}
 
 
 def _coloops_by_numeric_rank(g, seed):
@@ -229,7 +233,7 @@ def _coloops_by_numeric_rank(g, seed):
     pl = random_placement(g.n, seed)
     rank = numeric_rank(g, pl)
     return {e for e in g.edge_list()
-            if numeric_rank(g.without_edge(*e), pl) < rank}
+            if numeric_rank(without_edge(g, *e), pl) < rank}
 
 
 def _coloop_corpus(rng, size):
@@ -247,7 +251,7 @@ def _coloop_corpus(rng, size):
                                   rng.randint(1, 5))
         else:
             h = henneberg_graph(rng, n)
-            h = h.without_edge(*rng.choice(h.edge_list()))
+            h = without_edge(h, *rng.choice(h.edge_list()))
             g = with_random_edges(rng, h, rng.randint(1, 4))
         graphs.append(g)
     return graphs
@@ -679,12 +683,12 @@ def test_orbit_pruning_keeps_every_child_class():
 
 def _all_extensions(g):
     for u, v in combinations(range(g.n), 2):
-        yield g.with_vertex((u, v))
+        yield with_vertex(g, (u, v))
     for u, v in g.edge_list():
-        base = g.without_edge(u, v)
+        base = without_edge(g, u, v)
         for w in range(g.n):
             if w != u and w != v:
-                yield base.with_vertex((u, v, w))
+                yield with_vertex(base, (u, v, w))
 
 
 def test_levels_match_unfiltered_growth():
@@ -718,7 +722,7 @@ def test_every_degree_2_or_3_vertex_is_removable():
                 elif d == 3:
                     assert any(
                         verdict_of(
-                            _delete_vertex(g.with_edge(a, b), y)
+                            _delete_vertex(with_edge(g, a, b), y)
                         ).minimally_rigid
                         for a, b in combinations(_members(g.adj[y]), 2)
                         if not g.adj[a] >> b & 1)

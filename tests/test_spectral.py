@@ -8,12 +8,9 @@ import pytest
 
 from rigidspec import (
     Graph,
-    complete_graph,
     complete_split_graph,
     complete_split_rho,
-    cycle_graph,
     hong_bound,
-    hong_bound_function,
     linked_cliques,
     linked_cliques_char_poly,
     linked_cliques_quotient,
@@ -26,7 +23,10 @@ from conftest import random_graph
 from oracles import (
     algebraic_connectivity,
     brute_max_partition,
+    complete_graph,
+    cycle_graph,
     edge_lower_bound,
+    hong_bound_function,
     hong_equality_condition,
     laplacian_matrix,
     max_clique_partition_edges,
@@ -123,9 +123,6 @@ def test_linked_cliques_quotient_is_equitable_and_matches():
 def test_char_poly_frozen_coefficients():
     poly = linked_cliques_char_poly(16, 7, 2)
     assert poly.coefficients == (1, -12, 20, 92, 24)
-    assert poly.parameters_linked
-    assert not linked_cliques_char_poly(16, 7, 1).parameters_linked
-    assert not linked_cliques_char_poly(15, 7, 2).parameters_linked
     assert poly.evaluate(6) == 0  # 6 is an exact quotient eigenvalue
 
 
@@ -271,6 +268,23 @@ def test_hong_bound_function_domain():
         hong_bound_function(5, 7, 5.0)  # x > p - 1
     with pytest.raises(ValueError):
         hong_bound_function(5, 0, 4.0)  # radicand negative
+
+
+def test_hong_bound_is_the_degree_function_at_integer_delta(
+        connected_labeled_upto6, random_corpus_1000):
+    # the same value, or the same domain error, at every delta in 1..n-1
+    checked = 0
+    for g in connected_labeled_upto6 + random_corpus_1000:
+        for delta in range(1, g.n):
+            try:
+                want = hong_bound_function(g.n, g.m, delta)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    hong_bound(g.n, g.m, delta)
+                continue
+            assert hong_bound(g.n, g.m, delta) == want, (g.n, g.m, delta)
+            checked += 1
+    assert checked > 50000
 
 
 def test_edge_lower_bound_value_and_equivalence():

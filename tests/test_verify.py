@@ -19,10 +19,8 @@ from rigidspec import (
     Graph,
     analyze_graph,
     analyze_lines,
-    complete_graph,
     complete_split_graph,
     complete_split_rho,
-    cycle_graph,
     extremal_family_report,
     family_sweep_report,
     flatten_report,
@@ -47,7 +45,13 @@ from rigidspec.verify import (
     _threshold,
 )
 from conftest import random_graph
-from oracles import canonical_form
+from oracles import (
+    canonical_form,
+    complete_graph,
+    cycle_graph,
+    with_edge,
+    without_edge,
+)
 
 
 def test_report_key_order_and_values():
@@ -95,7 +99,7 @@ def test_report_flags_on_extremal_graphs():
 def test_report_flag_failure_path_reachable():
     # widening the tolerance makes a near-threshold non-rigid graph that is
     # not the extremal family trip the consistency flag
-    g = linked_cliques(16, 7, 2).without_edge(9, 10)
+    g = without_edge(linked_cliques(16, 7, 2), 9, 10)
     strict = analyze_graph(g)
     assert report_is_consistent(strict)
     loose = analyze_graph(g, tol=1.0)
@@ -132,9 +136,9 @@ def _family_oracle_graph(rng):
     if kind == "added":
         non = [(u, v) for u, v in itertools.combinations(range(n), 2)
                if not g.adj[u] >> v & 1]
-        g = g.with_edge(*rng.choice(non))
+        g = with_edge(g, *rng.choice(non))
     elif kind == "deleted":
-        g = g.without_edge(*rng.choice(g.edge_list()))
+        g = without_edge(g, *rng.choice(g.edge_list()))
     elif kind == "swap":
         el = g.edge_list()
         while True:
@@ -142,8 +146,8 @@ def _family_oracle_graph(rng):
             if (len({u, v, x, y}) == 4 and not g.adj[u] >> y & 1
                     and not g.adj[x] >> v & 1):
                 break
-        g = g.without_edge(u, v).without_edge(x, y)
-        g = g.with_edge(u, y).with_edge(x, v)
+        g = without_edge(without_edge(g, u, v), x, y)
+        g = with_edge(with_edge(g, u, y), x, v)
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph(n, [(perm[u], perm[v]) for u, v in g.edge_list()])
@@ -600,7 +604,7 @@ def test_cli_analyze_into_closed_pipe(tmp_path, jobs):
 
 
 def test_cli_analyze_bad_line_outranks_inconsistent_report(tmp_path, capsys):
-    g = linked_cliques(16, 7, 2).without_edge(9, 10)
+    g = without_edge(linked_cliques(16, 7, 2), 9, 10)
     path = tmp_path / "mixed.g6"
     path.write_text(write_graph6(g) + "\nnot graph6!\n")
     assert cli_main(["analyze", str(path), "--tol", "1.0"]) == 2
@@ -614,7 +618,7 @@ def test_cli_analyze_missing_file(capsys):
 
 
 def test_cli_analyze_inconsistency_exit_code(tmp_path, capsys):
-    g = linked_cliques(16, 7, 2).without_edge(9, 10)
+    g = without_edge(linked_cliques(16, 7, 2), 9, 10)
     path = _write_corpus(tmp_path, [g])
     assert cli_main(["analyze", path]) == 0
     capsys.readouterr()
