@@ -9,7 +9,6 @@ tautology.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
 
@@ -24,20 +23,29 @@ class DegeneratePlacementError(ValueError):
     """Placement with coincident points."""
 
 
-@dataclass(frozen=True, eq=False)
 class Placement:
-    """Planar coordinates for vertices 0..n-1, one row per vertex."""
+    """Immutable planar coordinates for vertices 0..n-1, one row per
+    vertex; equal only to itself."""
 
-    coords: np.ndarray
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
+    def __init__(self, coords):
+        c = np.asarray(coords, dtype=float)
         if c.ndim != 2 or c.shape[1] != 2:
             raise ValueError(f"coords must be (n, 2), got {c.shape}")
         rows = {tuple(row) for row in c}
         if len(rows) != len(c):
             raise DegeneratePlacementError("coincident points in placement")
         object.__setattr__(self, "coords", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Placement is immutable")
+
+    def __reduce__(self):
+        return Placement, (self.coords,)
+
+    def __repr__(self) -> str:
+        return f"Placement(coords={self.coords!r})"
 
     @property
     def n(self) -> int:

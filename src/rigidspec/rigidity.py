@@ -3,9 +3,8 @@ and inductive enumeration of canonically labelled minimally rigid graphs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +44,7 @@ Edge = tuple[int, int]
 # y, which lies inside T, so the circuit covers nothing new.
 
 
-@dataclass(frozen=True)
-class PebbleGame:
+class PebbleGame(NamedTuple):
     """Outcome of one pebble-game pass: the accepted basis, in insertion
     order, and the basis edges lying in no circuit of the edge set."""
     basis: list[Edge]
@@ -154,17 +152,12 @@ def pebble_rank(g: Graph) -> int:
 # -- verdict --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     rank: int
     rigid: bool
     minimally_rigid: bool
     redundantly_rigid: bool
     globally_rigid: bool
-
-    def as_dict(self) -> dict:
-        # not dataclasses.asdict, which deep-copies every field
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:

@@ -4,8 +4,7 @@ spectral quantities of the two-clique and hub-pair extremal families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +36,7 @@ def _spectra(g: Graph) -> tuple[float, Optional[float]]:
 # -- two-clique family: closed forms --------------------------------------
 
 
-@dataclass(frozen=True)
-class CharQuartic:
+class CharQuartic(NamedTuple):
     """Monic integer quartic vanishing at the four quotient eigenvalues of
     the two-clique family: the exact quotient characteristic polynomial
     whenever all four classes are nonempty."""

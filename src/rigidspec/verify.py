@@ -6,10 +6,8 @@ drives the sweep jobs exposed by the command line.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import fields
 from functools import cache, lru_cache, partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -33,6 +31,7 @@ from .oracle import (
     random_placement,
 )
 from .rigidity import (
+    REFINE_BLOCK,
     RigidityVerdict,
     minimally_rigid_levels,
     pebble_rank,
@@ -65,7 +64,7 @@ REPORT_KEYS = (
     "rho_threshold_global",
 )
 
-RIGIDITY_KEYS = tuple(f.name for f in fields(RigidityVerdict))
+RIGIDITY_KEYS = RigidityVerdict._fields
 
 
 @cache
@@ -146,7 +145,7 @@ def analyze_graph(g: Graph, graph6: Optional[str] = None,
         "rho": rho,
         "algebraic_connectivity": mu,
         "hong_bound": hb,
-        "rigidity": verdict.as_dict(),
+        "rigidity": verdict._asdict(),
         "rigid_condition_applicable": app_r,
         "rigid_condition_consistent": cons_r,
         "global_condition_applicable": app_g,
@@ -240,6 +239,9 @@ def write_csv(out: TextIO, columns: Sequence[str],
     """Write a header of `columns` to `out`, then each row as it comes;
     cells as json_stable writes them (lowercase booleans, floats at 12
     significant digits), None empty."""
+    # imported here: only CSV output needs the module
+    import csv
+
     w = csv.writer(out, lineterminator="\n")
     w.writerow(columns)
     for r in rows:
@@ -311,10 +313,14 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
     rows = []
     ok = True
     for n, graphs in minimally_rigid_levels(nmin, nmax):
-        # one stacked eigensolve: LAPACK runs per matrix, so each value is
-        # the one spectral_radius(g) gives
-        mats = _adjacency_bits([g.adj for g in graphs], n).astype(float)
-        rhos = np.linalg.eigvalsh(mats)[:, -1].tolist()
+        # stacked eigensolves of REFINE_BLOCK graphs: LAPACK runs per
+        # matrix, so each value is the one spectral_radius(g) gives, and no
+        # stack of a whole level's float matrices is held
+        rhos = []
+        for i in range(0, len(graphs), REFINE_BLOCK):
+            block = [g.adj for g in graphs[i:i + REFINE_BLOCK]]
+            mats = _adjacency_bits(block, n).astype(float)
+            rhos += np.linalg.eigvalsh(mats)[:, -1].tolist()
         best = max(range(len(graphs)), key=rhos.__getitem__)
         expected = complete_split_rho(n)
         near = [i for i, r in enumerate(rhos) if r > rhos[best] - REPORT_TOL]

@@ -1,4 +1,6 @@
 """Numeric rank, exhaustive sparsity oracles, packing and cut-size checks."""
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -51,6 +53,16 @@ def test_placement_validation():
     assert np.array_equal(big.coords, random_placement(9, 2**70).coords)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         random_placement(6, -1)
+
+
+def test_placement_is_immutable_and_copies():
+    pl = Placement([[1.0, 1.0], [1.5, 1.25]])
+    assert pl.coords.dtype == np.float64
+    with pytest.raises(AttributeError):
+        pl.coords = np.zeros((2, 2))
+    for other in (copy.copy(pl), copy.deepcopy(pl),
+                  pickle.loads(pickle.dumps(pl))):
+        assert other != pl and np.array_equal(other.coords, pl.coords)
 
 
 def test_rigidity_matrix_single_edge():

@@ -1,6 +1,7 @@
 """Report assembly, deterministic serialisation, corpus analysis, CLI."""
 import argparse
 import csv
+import gc
 import itertools
 import io
 import json
@@ -373,11 +374,38 @@ def test_closing_parallel_analysis_stops_the_workers(monkeypatch):
 
 
 def test_cli_import_leaves_process_pool_unloaded():
+    # nor dataclasses, whose generated methods are compiled at import, nor
+    # csv, which only CSV output needs
     src = os.path.dirname(os.path.dirname(rigidspec.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, rigidspec.cli; "
-            "sys.exit('multiprocessing.pool' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import sys, rigidspec.cli; sys.exit(str([m for m in "
+            "('multiprocessing.pool', 'dataclasses', 'csv') "
+            "if m in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.stderr == "[]\n"
+
+
+def test_cli_freezes_the_heap_only_in_its_own_process(capsys):
+    argv = ["family-sweep", "--clique-max", "5", "--nmax", "14"]
+    before = gc.get_freeze_count()
+    assert cli_main(argv) == 0
+    assert gc.get_freeze_count() == before
+    in_process = capsys.readouterr().out
+    # run as `python -m rigidspec.cli`, with an exit hook registered first,
+    # so that it runs last
+    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    launcher = ("import atexit, gc, runpy, sys; atexit.register(lambda: "
+                "sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n')); "
+                "runpy.run_module('rigidspec.cli', run_name='__main__', "
+                "alter_sys=True)")
+    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == in_process
+    word, count = proc.stderr.split()
+    assert word == "frozen" and int(count) > 0
 
 
 def test_extremal_report_leaves_numpy_random_unloaded():
@@ -390,14 +418,17 @@ def test_extremal_report_leaves_numpy_random_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_laman_extremal_report_ok():
+def test_laman_extremal_report_ok(monkeypatch):
     rep = laman_extremal_report(3, 6)
     assert rep["ok"]
     assert [row["count"] for row in rep["rows"]] == [1, 1, 3, 13]
     assert all(row["argmax_is_hub_pair"] for row in rep["rows"])
-    # one eigensolve per level gives each graph's own radius, bit for bit
+    # stacked eigensolves give each graph's own radius, bit for bit
     for row, (_, graphs) in zip(rep["rows"], minimally_rigid_levels(3, 6)):
         assert row["max_rho"] == max(map(spectral_radius, graphs))
+    # and so does a level split over several stacks
+    monkeypatch.setattr(rigidspec.verify, "REFINE_BLOCK", 4)
+    assert laman_extremal_report(3, 6) == rep
     with pytest.raises(ValueError):
         laman_extremal_report(3, 10)
 
