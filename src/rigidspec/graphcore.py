@@ -5,10 +5,9 @@ after construction so they can be shared freely across worker processes.
 """
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 from operator import index
-from typing import AnyStr, Callable, Iterable, Iterator, Sequence
+from typing import AnyStr, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -289,40 +288,6 @@ def iter_graph6_lines(
 # maximum number of internally disjoint paths joining them (Menger).
 # Minimising over a standard pair family yields kappa(G).
 
-SplitNetwork = tuple[list[int], list[int], list[list[int]], dict[Edge, int]]
-
-
-def _split_network(g: Graph) -> SplitNetwork:
-    """The split digraph of g as flat int arrays, built at most once per graph.
-
-    Node 2v is v's in-copy and 2v+1 its out-copy.  Arc 2v is v_in -> v_out;
-    every edge uv adds u_out -> v_in and v_out -> u_in.  Arc i and its
-    reverse i ^ 1 are stored together, the reverse with capacity 0.  Every
-    arc has capacity 1: the vertex arcs already bound each s-t path, so the
-    edge arcs need no more.  Returns (heads, base capacities, arcs leaving
-    each node, arc index of u_out -> v_in keyed by (u, v)).
-    """
-    heads: list[int] = []
-    caps: list[int] = []
-    out: list[list[int]] = [[] for _ in range(2 * g.n)]
-
-    def add(a: int, b: int) -> int:
-        i = len(heads)
-        heads.extend((b, a))
-        caps.extend((1, 0))
-        out[a].append(i)
-        out[b].append(i + 1)
-        return i
-
-    for v in range(g.n):
-        add(2 * v, 2 * v + 1)
-    arc: dict[Edge, int] = {}
-    for u, v in g.edge_list():
-        arc[u, v] = add(2 * u + 1, 2 * v)
-        arc[v, u] = add(2 * v + 1, 2 * u)
-    return heads, caps, out, arc
-
-
 def _seed_paths(masks: Sequence[int], s: int, t: int,
                 limit: int) -> list[list[int]]:
     """Up to `limit` internally disjoint s-t paths, s and t non-adjacent.
@@ -398,22 +363,27 @@ def _pair_bound(masks: Sequence[int], s: int, t: int, limit: int) -> int:
     return bound
 
 
-def _flow(
-    masks: Sequence[int],
-    network: Callable[[], SplitNetwork],
-    s: int,
-    t: int,
-    limit: int,
-) -> int:
+def _flow(masks: Sequence[int], s: int, t: int, limit: int) -> int:
     """min(limit, number of internally disjoint s-t paths); s, t non-adjacent.
 
-    A pair whose `_pair_bound` reaches `limit` needs no search.  Otherwise
-    the seeded paths are a valid flow found without the split network.
-    Only when seeding stops below `limit` does `network()` supply the split
-    digraph: the paths are loaded into a copy of its capacities and BFS
-    over the residual arcs (source out(s), sink in(t)) augments until the
-    flow reaches `limit` or the sink is out of reach.  Augmenting any valid
-    flow to the maximum is exact, so the seeding changes no result.
+    A pair whose `_pair_bound` reaches `limit` needs no search, nor one
+    whose seeded paths do.  Otherwise the seeded paths are a valid flow in
+    the split digraph of the masks: v_in -> v_out for every vertex v, and
+    x_out -> y_in, y_out -> x_in for every edge xy, all of capacity 1.  It
+    is kept in bitmasks, never built: bit y of out[x], and bit x of
+    into[y], when the flow uses x_out -> y_in, and `used` for the inner
+    vertices of its paths.  The residual arcs are then
+
+    - out(x) -> in(y) for each y in masks[x] & ~out[x], and out(x) -> in(x)
+      when x is used;
+    - in(y) -> out(y) when y is unused, and otherwise in(y) -> out(x) for
+      the x in into[y].
+
+    A layered BFS over them from out(s) stops at the first layer that
+    holds in(t), and the walk back from in(t) flips each arc it crosses.
+    Augmenting stops when the flow reaches `limit` or in(t) is out of
+    reach.  Augmenting any valid flow to the maximum is exact, so the
+    seeding changes no result.
     """
     if _pair_bound(masks, s, t, limit) >= limit:
         return limit
@@ -421,36 +391,61 @@ def _flow(
     flow = len(paths)
     if flow >= limit:
         return flow
-    heads, base, out, arc = network()
-    cap = base[:]
+    out = [0] * len(masks)
+    into = [0] * len(masks)
+    used = 0
     for path in paths:
-        used = [arc[a, b] for a, b in zip(path, path[1:])]
-        used += [2 * w for w in path[1:-1]]
-        for i in used:
-            cap[i] = 0
-            cap[i ^ 1] = 1
-    src, snk = 2 * s + 1, 2 * t
+        for x, y in zip(path, path[1:]):
+            out[x] |= 1 << y
+            into[y] |= 1 << x
+            used |= 1 << y
+    used &= ~(1 << t)
     while flow < limit:
-        parent = [-1] * len(out)  # arc by which BFS reached each node
-        parent[src] = -2
-        queue = [src]
-        for x in queue:
-            for i in out[x]:
-                if cap[i]:
-                    y = heads[i]
-                    if parent[y] == -1:
-                        parent[y] = i
-                        queue.append(y)
-            if parent[snk] != -1:
+        # layers alternate out-copies and in-copies, starting at out(s)
+        layers = []
+        outs, seen_out, seen_in = 1 << s, 0, 0
+        while outs:
+            seen_out |= outs
+            layers.append(outs)
+            ins = outs & used
+            for x in _members(outs):
+                ins |= masks[x] & ~out[x]
+            ins &= ~seen_in
+            seen_in |= ins
+            layers.append(ins)
+            if ins >> t & 1:
                 break
-        else:  # the sink is out of reach: the flow is maximum
+            outs = ins & ~used
+            for y in _members(ins & used):
+                outs |= into[y]
+            outs &= ~seen_out
+        else:  # in(t) is out of reach: the flow is maximum
             return flow
-        y = snk
-        while y != src:
-            i = parent[y]
-            cap[i] = 0
-            cap[i ^ 1] = 1
-            y = heads[i ^ 1]
+        layers.pop()
+        y = t
+        while True:
+            # in(y) was reached from an out-copy of the layer before it
+            outs = layers.pop()
+            if (used & outs) >> y & 1:
+                x = y
+                used ^= 1 << y
+            else:
+                back = masks[y] & ~into[y] & outs
+                x = (back & -back).bit_length() - 1
+                out[x] |= 1 << y
+                into[y] |= 1 << x
+            if not layers:  # x is s
+                break
+            # and out(x) from an in-copy of the layer before that
+            ins = layers.pop()
+            if (ins & ~used) >> x & 1:
+                y = x
+                used |= 1 << x
+            else:
+                back = out[x] & ins
+                y = (back & -back).bit_length() - 1
+                out[x] ^= 1 << y
+                into[y] ^= 1 << x
         flow += 1
     return flow
 
@@ -464,9 +459,8 @@ def vertex_connectivity(g: Graph) -> int:
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
     degree, the running best starts at delta, since kappa <= delta off
     the complete graph, and caps every later flow.  The pair bound and
-    the seeding read the graph's adjacency bitmasks; the split network is
-    built on the first pair whose seeding stalls below the running best,
-    and never when no pair does.
+    the seeding and the residual search all read the graph's adjacency
+    bitmasks and nothing else.
     """
     n = g.n
     if n <= 1:
@@ -478,10 +472,9 @@ def vertex_connectivity(g: Graph) -> int:
     u0 = min(range(n), key=g.degree)
     best = g.degree(u0)
     adj = g.adj
-    network = cache(lambda: _split_network(g))
     for v in _members(((1 << n) - 1) & ~adj[u0] & ~(1 << u0)):
-        best = _flow(adj, network, u0, v, best)
+        best = _flow(adj, u0, v, best)
     for x, y in combinations(_members(adj[u0]), 2):
         if not adj[x] >> y & 1:
-            best = _flow(adj, network, x, y, best)
+            best = _flow(adj, x, y, best)
     return best

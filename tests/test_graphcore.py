@@ -3,7 +3,6 @@ import copy
 import pickle
 import random
 from collections import deque
-from functools import partial
 from itertools import combinations
 
 import pytest
@@ -284,65 +283,99 @@ def _bouquet(branches):
     return Graph(3 + 2 * branches, edges)
 
 
-def _count_network_builds(monkeypatch):
-    """The graphs for which a split network is built from now on."""
-    builds = []
-    build = graphcore._split_network
-
-    def counting(g):
-        builds.append(g)
-        return build(g)
-
-    monkeypatch.setattr(graphcore, "_split_network", counting)
-    return builds
+BOUQUET = _bouquet(4)
 
 
-def test_pair_flow_matches_definition(monkeypatch):
-    """The seeded, capped flow against the per-pair dict network: every
-    non-adjacent pair of small graphs, 30 sampled pairs of dense ones with
-    30 <= n <= 60, the trap graph and a bouquet."""
+def _non_edges(g):
+    return [(u, v) for u, v in combinations(range(g.n), 2)
+            if not g.adj[u] >> v & 1]
+
+
+def _pair_corpus():
+    """Graphs and their terminal pairs: every non-adjacent pair of 60 small
+    graphs, 30 sampled pairs of 8 dense ones with 30 <= n <= 60, then every
+    pair of the trap graph and of a bouquet."""
     rng = random.Random(2024)
-    builds = _count_network_builds(monkeypatch)
+    for k in range(60):
+        n = rng.randint(8, 25)
+        p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
+        g = random_graph(rng, n, p)
+        yield g, _non_edges(g)
+    for _ in range(8):
+        g = random_graph(rng, rng.randint(30, 60), rng.uniform(0.5, 0.9))
+        yield g, rng.sample(_non_edges(g), 30)
+    for g in (TRAP, BOUQUET):
+        yield g, _non_edges(g)
 
-    def corpus():
-        # drawn lazily: each graph's caps come from rng before the next graph
-        for k in range(60):
-            n = rng.randint(8, 25)
-            p = rng.uniform(0.5, 0.9) if k % 2 else rng.uniform(0.1, 0.35)
-            g = random_graph(rng, n, p)
-            yield g, [(u, v) for u, v in combinations(range(n), 2)
-                      if not g.adj[u] >> v & 1]
-        for _ in range(8):
-            g = random_graph(rng, rng.randint(30, 60), rng.uniform(0.5, 0.9))
-            missing = [(u, v) for u, v in combinations(range(g.n), 2)
-                       if not g.adj[u] >> v & 1]
-            yield g, rng.sample(missing, 30)
-        for g in (TRAP, _bouquet(4)):
-            yield g, [(u, v) for u, v in combinations(range(g.n), 2)
-                      if not g.adj[u] >> v & 1]
 
-    pairs = 0
-    for g, sample in corpus():
-        if g is TRAP:
-            assert builds, "no random pair needed the residual step"
+def test_pair_flow_matches_definition():
+    """The seeded, capped flow against the per-pair dict network on the
+    pair corpus; some random pairs stall in seeding below their local
+    connectivity, so the residual search runs."""
+    rng = random.Random(2025)
+    pairs = stalled = 0
+    for g, sample in _pair_corpus():
         masks = g.adj
-        network = partial(graphcore._split_network, g)
         for s, t in sample:
             expect = _local_connectivity_by_definition(g, s, t)
-            assert _flow(masks, network, s, t, g.n) == expect, (g.edge_list(), s, t)
-            assert _flow(masks, network, t, s, g.n) == expect, (g.edge_list(), t, s)
+            assert _flow(masks, s, t, g.n) == expect, (g.edge_list(), s, t)
+            assert _flow(masks, t, s, g.n) == expect, (g.edge_list(), t, s)
             cap = rng.randint(0, expect + 1)
-            assert _flow(masks, network, s, t, cap) == min(cap, expect)
-            assert _flow(masks, network, t, s, cap) == min(cap, expect)
+            assert _flow(masks, s, t, cap) == min(cap, expect)
+            assert _flow(masks, t, s, cap) == min(cap, expect)
+            if g not in (TRAP, BOUQUET):
+                stalled += len(_seed_paths(masks, s, t, g.n)) < expect
             pairs += 1
     assert pairs > 1200
-    for g, s, t, expect in ((TRAP, 0, 4, 2), (_bouquet(4), 0, 1, 1)):
-        masks = g.adj
-        assert len(_seed_paths(masks, s, t, g.n)) == 1
-        builds.clear()
-        network = partial(graphcore._split_network, g)
-        assert _flow(masks, network, s, t, g.n) == expect
-        assert builds == [g]
+    assert stalled > 0, "no random pair needed the residual search"
+    for g, s, t, expect in ((TRAP, 0, 4, 2), (BOUQUET, 0, 1, 1)):
+        assert len(_seed_paths(g.adj, s, t, g.n)) == 1
+        assert _flow(g.adj, s, t, g.n) == expect
+
+
+def test_residual_search_is_exact_from_any_starting_flow(monkeypatch):
+    """With no pair bound and the seeding cut down to no path, then to its
+    first path only, the residual search alone reaches the local
+    connectivity of every pair in the pair corpus, at every limit."""
+    seed = graphcore._seed_paths
+    monkeypatch.setattr(graphcore, "_pair_bound", lambda *args: 0)
+    starts = (lambda *args: [], lambda *args: seed(*args)[:1])
+    pairs = 0
+    for g, sample in _pair_corpus():
+        for s, t in sample:
+            expect = _local_connectivity_by_definition(g, s, t)
+            for start in starts:
+                monkeypatch.setattr(graphcore, "_seed_paths", start)
+                for limit in range(expect + 2):
+                    want = min(limit, expect)
+                    assert _flow(g.adj, s, t, limit) == want, \
+                        (g.edge_list(), s, t, limit)
+                    assert _flow(g.adj, t, s, limit) == want, \
+                        (g.edge_list(), t, s, limit)
+            pairs += 1
+    assert pairs > 1200
+
+
+def test_one_pair_reroutes_every_seeded_path():
+    """k = 2..4 copies of the trap graph sharing the terminals 0 and 4,
+    their inner vertices relabelled at random: seeding takes the k
+    shortest paths, one through each copy, and stalls there, so the flow
+    of 2k reroutes all k of them."""
+    rng = random.Random(24)
+    inner = (1, 2, 3, 5, 6, 7)
+    for k in range(2, 5):
+        n = 6 * k + 2
+        labels = [v for v in range(1, n) if v != 4]
+        rng.shuffle(labels)
+        edges = []
+        for i in range(k):
+            name = {0: 0, 4: 4, **dict(zip(inner, labels[6 * i:6 * i + 6]))}
+            edges += [(name[u], name[v]) for u, v in TRAP.edge_list()]
+        g = Graph(n, edges)
+        assert _local_connectivity_by_definition(g, 0, 4) == 2 * k
+        for s, t in ((0, 4), (4, 0)):
+            assert len(_seed_paths(g.adj, s, t, n)) == k
+            assert _flow(g.adj, s, t, n) == 2 * k
 
 
 def test_pair_bound_never_exceeds_the_local_connectivity(monkeypatch):
@@ -351,14 +384,11 @@ def test_pair_bound_never_exceeds_the_local_connectivity(monkeypatch):
     a bouquet; the flow is the same with and without it at every limit."""
     rng = random.Random(1701)
     graphs = [random_graph(rng, rng.randint(5, 18), rng.uniform(0.15, 0.9))
-              for _ in range(50)] + [TRAP, _bouquet(4)]
+              for _ in range(50)] + [TRAP, BOUQUET]
     bound = graphcore._pair_bound
     settled = pairs = 0
     for g in graphs:
-        network = partial(graphcore._split_network, g)
-        for s, t in combinations(range(g.n), 2):
-            if g.adj[s] >> t & 1:
-                continue
+        for s, t in _non_edges(g):
             expect = _local_connectivity_by_definition(g, s, t)
             low = bound(g.adj, s, t, g.n)
             assert low <= expect, (g.edge_list(), s, t)
@@ -367,10 +397,10 @@ def test_pair_bound_never_exceeds_the_local_connectivity(monkeypatch):
             pairs += 1
             for limit in range(expect + 2):
                 want = min(limit, expect)
-                assert _flow(g.adj, network, s, t, limit) == want
+                assert _flow(g.adj, s, t, limit) == want
                 with monkeypatch.context() as m:
                     m.setattr(graphcore, "_pair_bound", lambda *args: 0)
-                    assert _flow(g.adj, network, s, t, limit) == want
+                    assert _flow(g.adj, s, t, limit) == want
     assert pairs > 800 and settled > pairs // 4
     # the trap's second path is longer than 3 edges: only the flow finds it
     assert bound(TRAP.adj, 0, 4, TRAP.n) == 1
@@ -387,10 +417,10 @@ def _check_seeded_paths(g, s, t, paths):
         inner |= set(path[1:-1])
 
 
-def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
+def test_seeding_certificates_on_dense_graphs():
     """Seeded paths are disjoint s-t paths of g for every non-adjacent
     pair; kappa matches networkx at n = 60-80 and, on G(150, 0.6), a value
-    cross-checked once with networkx, built without the split network."""
+    cross-checked once with networkx."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(6080)
     graphs = [random_graph(rng, rng.randint(60, 80), rng.uniform(0.3, 0.8))
@@ -404,9 +434,7 @@ def test_seeding_certificates_and_no_network_on_dense_graphs(monkeypatch):
     for g in graphs:
         h = to_networkx(g)
         assert vertex_connectivity(g) == nx.node_connectivity(h), g.edge_list()
-    builds = _count_network_builds(monkeypatch)
     assert vertex_connectivity(big) == 73
-    assert builds == []
 
 
 def _connectivity_corpus(rng):

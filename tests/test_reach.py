@@ -22,8 +22,8 @@ PACKAGE = Path(rigidspec.__file__).resolve().parent
 ALLOWED = {"complete_split_graph", "linked_cliques"}
 
 # seeding stalls on the trap graph: the shortest path 0-1-3-4 blocks both
-# disjoint paths 0-1-5-6-4 and 0-2-7-3-4, so connectivity builds the split
-# network
+# disjoint paths 0-1-5-6-4 and 0-2-7-3-4, so connectivity runs the residual
+# search over the adjacency masks
 TRAP = Graph(8, [(0, 1), (0, 2), (1, 3), (3, 4), (1, 5), (5, 6), (6, 4),
                  (2, 7), (7, 3)])
 
