@@ -13,10 +13,12 @@
 # benchmark's seeded corpora (perfbench/corpora.py, seeds 1-2; seeds 1-5 of
 # corpus-dense for denser rigidity verdicts, and seeds 1-10 of corpus-small,
 # whose disconnected graphs print eigensolver noise as their algebraic
-# connectivity; JSON and CSV, --jobs 1 and 2), and on a corpus of bad lines read from a file and from stdin
-# (JSON and CSV, --jobs 1, 2 and 8; at 8 the pool is capped at its 6
-# nonblank lines).  Every run reads stdin from /dev/null unless its last
-# word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
+# connectivity; JSON and CSV, --jobs 1 and 2), on a corpus of degenerate
+# graphs (complete graphs, disjoint unions, isolated vertices, one and two
+# vertices; JSON and CSV, --jobs 1 and 2), and on a corpus of bad lines
+# read from a file and from stdin (JSON and CSV, --jobs 1, 2 and 8; at 8
+# the pool is capped at its 6 nonblank lines).  Every run reads stdin from
+# /dev/null unless its last word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
 # trees read it as the default seed of `extremal`.
 # Prints one line per run and exits 1 when any run differs.
 set -euo pipefail
@@ -76,6 +78,51 @@ EOF
                    "analyze $corpus --jobs $jobs --format csv")
         done
     done
+done
+
+# degenerate graphs: K_1 ... K_20 (so the one- and two-vertex lines @ and
+# A_), disjoint unions of 2 and 3 seeded G(n, p) parts, graphs with
+# isolated vertices, and edgeless graphs on 2, 3 and 5 vertices
+degenerate="$work/degenerate.g6"
+python3 - "$repo/perfbench" > "$degenerate" <<'EOF'
+import random
+import sys
+from itertools import combinations
+
+sys.path.insert(0, sys.argv[1])
+from corpora import write_graph6
+
+rng = random.Random(25)
+
+
+def gnp(n, p):
+    return n, [e for e in combinations(range(n), 2) if rng.random() < p]
+
+
+def union(parts):
+    """The disjoint union of (n, edges) parts, randomly relabelled."""
+    edges, lo = [], 0
+    for n, part in parts:
+        edges += [(u + lo, v + lo) for u, v in part]
+        lo += n
+    perm = list(range(lo))
+    rng.shuffle(perm)
+    return write_graph6(lo, [(perm[u], perm[v]) for u, v in edges])
+
+
+lines = [write_graph6(n, combinations(range(n), 2)) for n in range(1, 21)]
+for k in (2, 2, 2, 2, 2, 3, 3, 3, 3, 3):
+    lines.append(union([gnp(rng.randint(1, 40), rng.uniform(0.2, 0.95))
+                        for _ in range(k)]))
+for _ in range(8):
+    lines.append(union([gnp(rng.randint(2, 30), rng.uniform(0.3, 0.95))]
+                       + [(1, [])] * rng.randint(1, 3)))
+lines += [write_graph6(n, []) for n in (2, 3, 5)]
+sys.stdout.write("".join(line + "\n" for line in lines))
+EOF
+for jobs in 1 2; do
+    runs+=("analyze $degenerate --jobs $jobs"
+           "analyze $degenerate --jobs $jobs --format csv")
 done
 
 # a good line and a blank line, then the empty graph, a short body, a

@@ -48,7 +48,7 @@ class Graph:
     the masks.
     """
 
-    __slots__ = ("n", "m", "adj", "_hash")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -77,7 +77,6 @@ class Graph:
         object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "m", sum(a.bit_count() for a in adj) // 2)
         object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "_hash", hash((len(adj), adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -114,9 +113,6 @@ class Graph:
 
     # -- traversal --------------------------------------------------------
 
-    def is_connected(self) -> bool:
-        return self.n <= 1 or self._reach(1) == (1 << self.n) - 1
-
     def _reach(self, seed: int) -> int:
         """The vertices joined by paths to those of the bitmask seed."""
         comp = frontier = seed
@@ -138,7 +134,7 @@ class Graph:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -221,8 +217,6 @@ def parse_graph6(line: str) -> Graph:
     s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
-    if not s:
-        raise Graph6Error("empty graph6 string")
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
@@ -457,18 +451,17 @@ def vertex_connectivity(g: Graph) -> int:
     all v outside N[u0] and over all non-adjacent pairs inside N(u0):
     any minimum cut misses some vertex of N[u0] or separates two
     neighbours of u0 (Esfahanian and Hakimi).  Taking u0 of minimum
-    degree, the running best starts at delta, since kappa <= delta off
-    the complete graph, and caps every later flow.  The pair bound and
-    the seeding and the residual search all read the graph's adjacency
-    bitmasks and nothing else.
+    degree, the running best starts at delta, since kappa <= delta, and
+    caps every later flow.  Degenerate graphs need no case of their own.
+    K_n, K_1 included, has no pair to try, so its value is delta = n-1.
+    On a disconnected graph the first v outside u0's component gives 0,
+    and the pair bound then settles every later pair at once.  The pair
+    bound and the seeding and the residual search all read the graph's
+    adjacency bitmasks and nothing else.
     """
     n = g.n
-    if n <= 1:
-        raise ValueError("connectivity needs at least 2 vertices")
-    if g.is_complete():
-        return n - 1
-    if not g.is_connected():
-        return 0
+    if n == 0:
+        raise ValueError("connectivity needs at least 1 vertex")
     u0 = min(range(n), key=g.degree)
     best = g.degree(u0)
     adj = g.adj

@@ -89,8 +89,6 @@ def numeric_rank(g: Graph, pl: Placement) -> int:
     if g.m == 0:
         return 0
     svals = np.linalg.svd(rigidity_matrix(g, pl), compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
     return int(np.sum(svals > DEFAULT_RANK_TOL * svals[0]))
 
 

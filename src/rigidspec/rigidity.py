@@ -161,14 +161,15 @@ class RigidityVerdict(NamedTuple):
 
 
 def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
-    """All rigidity predicates from one pebble game.  Single vertices count
-    as rigid.
+    """All rigidity predicates from one pebble game.
 
     Complete graphs on at most 3 vertices are globally rigid outright;
     otherwise the combinatorial characterisation is redundant rigidity plus
     3-connectivity (Jackson & Jordan 2005).  Deleting an edge drops the
     rank exactly when it is a coloop, so the same game decides redundancy:
-    rank 2n-3 and no coloops.
+    rank 2n-3 and no coloops.  A single vertex needs no case of its own:
+    rank 0, no coloops and completeness make it rigid, redundantly rigid
+    and globally rigid, and not minimally rigid.
 
     A 6-connected graph needs no game: it is rigid (Lovasz & Yemini 1982)
     and globally rigid (Jackson & Jordan 2005), hence redundantly rigid
@@ -186,14 +187,8 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
     rank = game.rank
     rigid = rank == max(0, 2 * n - 3)
     minimal = g.m == 2 * n - 3 and rank == g.m
-    if n == 1:
-        redundant = glob = True
-    else:
-        redundant = rigid and not game.coloops
-        if n <= 3:
-            glob = g.is_complete()
-        else:
-            glob = redundant and kappa >= 3
+    redundant = rigid and not game.coloops
+    glob = g.is_complete() if n <= 3 else redundant and kappa >= 3
     return RigidityVerdict(rank, rigid, minimal, redundant, glob)
 
 

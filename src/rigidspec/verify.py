@@ -119,7 +119,7 @@ def analyze_graph(g: Graph, graph6: Optional[str] = None,
         raise ValueError("reports need at least 1 vertex")
     n, m = g.n, g.m
     delta = g.min_degree()
-    kappa = vertex_connectivity(g) if n >= 2 else 0
+    kappa = vertex_connectivity(g)
     rho, mu = _spectra(g)
     hb = hong_bound(n, m, delta) if delta >= 1 else None
     verdict = rigidity_verdict(g, kappa=kappa)
@@ -275,7 +275,7 @@ def _analyze_line(item: tuple[int, bytes], tol: float):
     except UnicodeDecodeError as exc:
         return None, (f"line {lineno}: non-ascii byte 0x{raw[exc.start]:02x}"
                       f" at position {exc.start}")
-    except (Graph6Error, ValueError) as exc:
+    except ValueError as exc:
         return None, f"line {lineno}: {exc}"
 
 

@@ -53,6 +53,11 @@ def with_vertex(g: Graph, neighbors: Iterable[int] = ()) -> Graph:
     return Graph(w + 1, g.edge_list() + [(x, w) for x in neighbors])
 
 
+def is_connected(g: Graph) -> bool:
+    """Whether one component holds every vertex: true on 0 and 1 vertices."""
+    return g.n <= 1 or g._reach(1) == (1 << g.n) - 1
+
+
 # -- counting and rigidity by definition ----------------------------------
 
 
@@ -156,8 +161,8 @@ def brute_sparse_rank(g: Graph) -> int:
 
 def verdict_of(g: Graph) -> RigidityVerdict:
     """The rigidity verdict with the connectivity computed here, as the
-    report computes it (0 for a single vertex)."""
-    return rigidity_verdict(g, vertex_connectivity(g) if g.n > 1 else 0)
+    report computes it."""
+    return rigidity_verdict(g, vertex_connectivity(g))
 
 
 # -- graph6 with one big int, shifted a bit at a time ---------------------
@@ -599,7 +604,7 @@ def hong_equality_condition(g: Graph) -> bool:
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
     ds = set(g.degrees())
-    if not g.is_connected():
+    if not is_connected(g):
         return False
     return len(ds) == 1 or ds == {min(ds), g.n - 1}
 

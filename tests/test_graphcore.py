@@ -28,6 +28,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     induced_edge_count,
+    is_connected,
     packing_terms,
     with_edge,
     with_vertex,
@@ -495,6 +496,44 @@ def test_connectivity_at_benchmark_sizes_vs_networkx():
         assert vertex_connectivity(g) == kappa, g.edge_list()
 
 
+def _union(rng, parts):
+    """The disjoint union of the graphs `parts`, randomly relabelled."""
+    edges, lo = [], 0
+    for g in parts:
+        edges += [(x + lo, y + lo) for x, y in g.edge_list()]
+        lo += g.n
+    return relabelled(rng, Graph(lo, edges))
+
+
+def test_connectivity_of_degenerate_graphs_vs_networkx():
+    """Complete, disconnected and one-vertex graphs take the general pair
+    loops, with no case of their own: K_n for n <= 40, unions of 2 or 3
+    random parts with up to 120 vertices, and graphs with isolated
+    vertices all match networkx."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2525)
+    unions = [_union(rng, [random_graph(rng, n, rng.uniform(0.2, 0.95))
+                           for n in sizes])
+              for sizes in [[rng.randint(1, 40) for _ in range(k)]
+                            for k in [2] * 20 + [3] * 20] + [[40] * 3]]
+    isolated = [_union(rng, [random_graph(rng, rng.randint(2, 40),
+                                          rng.uniform(0.3, 0.95))]
+                       + [Graph(1)] * rng.randint(1, 3))
+                for _ in range(30)] + [Graph(n) for n in range(2, 8)]
+    # u0 isolated gives 0 at once; otherwise a pair flow must find it
+    assert sum(g.min_degree() > 0 for g in unions) >= 10
+    assert max(g.n for g in unions) == 120
+    for g in unions + isolated:
+        kappa = nx.node_connectivity(to_networkx(g))
+        assert kappa == 0 and vertex_connectivity(g) == 0, g.edge_list()
+    for n in range(1, 41):
+        g = complete_graph(n)
+        kappa = nx.node_connectivity(to_networkx(g))
+        assert vertex_connectivity(g) == kappa == n - 1  # K_1 gives 0
+    with pytest.raises(ValueError):
+        vertex_connectivity(Graph(0))
+
+
 def test_components():
     # connected iff one flood from vertex 0 reaches every vertex
     def flood(g):
@@ -507,12 +546,12 @@ def test_components():
                     todo.append(w)
         return seen
 
-    assert not Graph(6, [(0, 1), (1, 2), (4, 5)]).is_connected()
-    assert Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).is_connected()
+    assert not is_connected(Graph(6, [(0, 1), (1, 2), (4, 5)]))
+    assert is_connected(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
     rng = random.Random(443)
     for n in [0, 1, 2] + [rng.randint(2, 30) for _ in range(200)]:
         g = random_graph(rng, n, rng.uniform(0.0, 0.3))
-        assert g.is_connected() == (n <= 1 or len(flood(g)) == n), \
+        assert is_connected(g) == (n <= 1 or len(flood(g)) == n), \
             g.edge_list()
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from rigidspec import (
     Graph,
+    RigidityVerdict,
     complete_split_graph,
     complete_split_rho,
     laman_extremal_report,
@@ -293,6 +294,30 @@ def test_verdict_implications_exhaustive_n5():
             assert v.redundantly_rigid or (g.n <= 3 and g.is_complete())
         if v.rigid:
             assert v.rank == 2 * g.n - 3
+
+
+def test_verdict_on_every_graph_with_at_most_three_vertices():
+    """No order has a rule of its own: on every labelled graph with
+    1 <= n <= 3 the verdict is the one the definitions give from
+    `_run_pebble_game`, at networkx's connectivity.  Rigid means rank
+    max(0, 2n-3); minimally rigid, 2n-3 independent edges; redundantly
+    rigid, rigid with no edge whose deletion drops the rank; and on at
+    most 3 vertices, globally rigid means complete."""
+    nx = pytest.importorskip("networkx")
+    for n in range(1, 4):
+        for g in all_labeled_graphs(n):
+            edges = g.edge_list()
+            rank = _run_pebble_game(n, edges).rank
+            rigid = rank == max(0, 2 * n - 3)
+            redundant = rigid and all(
+                _run_pebble_game(n, [f for f in edges if f != e]).rank == rank
+                for e in edges)
+            expect = RigidityVerdict(rank, rigid, rank == g.m == 2 * n - 3,
+                                     redundant, g.m == n * (n - 1) // 2)
+            kappa = nx.node_connectivity(to_networkx(g))
+            assert rigidity_verdict(g, kappa) == expect, edges
+            assert verdict_of(g) == expect, edges
+    assert verdict_of(Graph(1)) == (0, True, False, True, True)
 
 
 def test_globally_rigid_matches_independent_route_exhaustive_n5():
