@@ -10,14 +10,7 @@ from .graphcore import (
     vertex_connectivity,
     write_graph6,
 )
-from .oracle import (
-    DegeneratePlacementError,
-    Placement,
-    numeric_rank,
-    packing_violation_search,
-    random_placement,
-    rigidity_matrix,
-)
+from .oracle import exact_rank, packing_violation_search
 from .rigidity import (
     PebbleGame,
     RigidityVerdict,

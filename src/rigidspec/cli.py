@@ -139,10 +139,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     With argv None, main owns its process (the console script, or
     `python -m rigidspec.cli`), so it freezes the import-time heap first:
-    the collector then never walks the ~20 000 objects that importing numpy
-    and rigidspec leaves, neither during the run nor in the interpreter's
-    last collection at exit.  Callers passing an argument list keep the
-    collector as it was.
+    the collector then never walks those objects, neither during the run
+    nor in the interpreter's last collection at exit.  The subcommands that
+    eigensolve import numpy's ~20 000 objects before the freeze; `extremal`
+    never loads numpy.  Callers passing an argument list keep the collector
+    as it was.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -153,6 +154,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if argv is None:
+        if args.command != "extremal":
+            import numpy  # noqa: F401
         gc.freeze()
     try:
         code = _run(args, sys.stdout)

@@ -156,10 +156,13 @@ def linked_cliques(n: int, n1: int, links: int) -> Graph:
         raise ValueError(
             f"links must satisfy 0 <= links <= min({n1},{n2}), got {links}"
         )
-    edges = list(combinations(range(n1), 2))
-    edges += list(combinations(range(n1, n), 2))
-    edges += [(j, n1 + j) for j in range(links)]
-    return Graph(n, edges)
+    small = (1 << n1) - 1
+    large = ((1 << n) - 1) ^ small
+    adj = [(small if v < n1 else large) ^ 1 << v for v in range(n)]
+    for j in range(links):
+        adj[j] |= 1 << (n1 + j)
+        adj[n1 + j] |= 1 << j
+    return Graph._from_adj(tuple(adj))
 
 
 def complete_split_graph(n: int) -> Graph:

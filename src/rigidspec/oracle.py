@@ -1,6 +1,6 @@
-"""Independent verification routes: numeric rigidity-matrix rank over
-random placements, and a structured search for packing-inequality
-witnesses.
+"""Independent verification routes: exact rigidity-matrix rank modulo a
+prime at a random integer placement, and a structured search for
+packing-inequality witnesses.
 
 Everything here deliberately avoids the pebble game and the closed-form
 spectral code so that agreement between the two routes is evidence, not
@@ -9,87 +9,75 @@ tautology.
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import Iterator, Optional
 
-import numpy as np
+from .graphcore import Edge, Graph, _members
 
-from .graphcore import Graph, _members
-
-DEFAULT_RANK_TOL = 1e-9
-
-
-class DegeneratePlacementError(ValueError):
-    """Placement with coincident points."""
+# the rigidity matrix is ranked over the integers modulo this prime
+_PRIME = 2**31 - 1
 
 
-class Placement:
-    """Immutable planar coordinates for vertices 0..n-1, one row per
-    vertex; equal only to itself."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.asarray(coords, dtype=float)
-        if c.ndim != 2 or c.shape[1] != 2:
-            raise ValueError(f"coords must be (n, 2), got {c.shape}")
-        rows = {tuple(row) for row in c}
-        if len(rows) != len(c):
-            raise DegeneratePlacementError("coincident points in placement")
-        object.__setattr__(self, "coords", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Placement is immutable")
-
-    def __reduce__(self):
-        return Placement, (self.coords,)
-
-    def __repr__(self) -> str:
-        return f"Placement(coords={self.coords!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
+def _incremental_edges(g: Graph) -> list[Edge]:
+    """The edges (u, v), u < v: each vertex's first two edges to earlier
+    vertices, which no generic placement makes dependent, then the rest by
+    their larger end."""
+    first, rest = [], []
+    for v, a in enumerate(g.adj):
+        earlier = _members(a & ((1 << v) - 1))
+        first += [(u, v) for u in earlier[:2]]
+        rest += [(u, v) for u in earlier[2:]]
+    return first + rest
 
 
-def random_placement(n: int, seed: int) -> Placement:
-    """Points drawn uniformly from [1, 2)^2; deterministic in the seed,
-    which must be non-negative.
+def exact_rank(g: Graph, seed: int) -> int:
+    """Rank modulo 2^31 - 1 of the rigidity matrix at integer points drawn
+    by `random.Random(seed).randrange`, x then y for each vertex; the seed
+    must be non-negative.
 
-    The coordinates come from `random.Random(seed)`, x then y for each
-    vertex in turn.  `import numpy` already loads `random`, while
-    `numpy.random` would add about 6 MB and several ms to each process.
+    The row of edge uv holds p(u) - p(v) in u's columns and the negation in
+    v's.  The rank is at most the generic rank, and below it only at a root
+    of a nonzero generic minor of degree at most 2n - 3, which a random
+    point is with chance at most (2n - 3) / (2^31 - 1) (Schwartz-Zippel).
+
+    The basis is a fully reduced echelon form: per pivot column, a row
+    scaled to 1 there, stored without that entry, and 0 in the other pivot
+    columns.  Each new row pivots on its largest column, so in the edge
+    order above a later row meets at most four basis rows of a few entries
+    each.  Elimination stops at the largest possible rank, 2n - 3.
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    draw = random.Random(seed).random
-    return Placement(1.0 + np.array([draw() for _ in range(2 * n)])
-                     .reshape(n, 2))
-
-
-def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:
-    """m x 2n first-order flex constraint matrix: the row of edge uv holds
-    p(u) - p(v) in u's coordinate block and the negation in v's."""
-    if pl.n != g.n:
-        raise ValueError(f"placement has {pl.n} points for n={g.n}")
-    ends = np.fromiter(chain.from_iterable(g.edge_list()), dtype=np.intp,
-                       count=2 * g.m)
-    u, v = ends[0::2], ends[1::2]
-    d = pl.coords[u] - pl.coords[v]
-    rows = np.arange(g.m)
-    mat = np.zeros((g.m, g.n, 2))  # row r, vertex w, coordinate
-    mat[rows, u] = d
-    mat[rows, v] = -d
-    return mat.reshape(g.m, 2 * g.n)
-
-
-def numeric_rank(g: Graph, pl: Placement) -> int:
-    """Singular-value rank of the rigidity matrix, with threshold
-    DEFAULT_RANK_TOL relative to the largest singular value."""
-    if g.m == 0:
-        return 0
-    svals = np.linalg.svd(rigidity_matrix(g, pl), compute_uv=False)
-    return int(np.sum(svals > DEFAULT_RANK_TOL * svals[0]))
+    draw = random.Random(seed).randrange
+    p = [draw(_PRIME) for _ in range(2 * g.n)]
+    top = 2 * g.n - 3
+    basis: dict[int, dict[int, int]] = {}
+    for u, v in _incremental_edges(g):
+        if len(basis) == top:
+            break
+        row: dict[int, int] = {}
+        for c, d in ((2 * u, p[2 * u] - p[2 * v]),
+                     (2 * u + 1, p[2 * u + 1] - p[2 * v + 1]),
+                     (2 * v, p[2 * v] - p[2 * u]),
+                     (2 * v + 1, p[2 * v + 1] - p[2 * u + 1])):
+            pivot_row = basis.get(c)
+            if pivot_row is None:
+                row[c] = row.get(c, 0) + d
+            else:
+                for c2, x in pivot_row.items():
+                    row[c2] = row.get(c2, 0) - d * x
+        row = {c: r for c, x in row.items() if (r := x % _PRIME)}
+        if not row:
+            continue
+        pivot = max(row)
+        inv = pow(row.pop(pivot), -1, _PRIME)
+        row = {c: x * inv % _PRIME for c, x in row.items()}
+        for other in basis.values():
+            f = other.pop(pivot, 0)
+            if f:
+                for c, x in row.items():
+                    other[c] = (other.get(c, 0) - f * x) % _PRIME
+        basis[pivot] = row
+    return len(basis)
 
 
 # -- packing inequality ---------------------------------------------------

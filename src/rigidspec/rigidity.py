@@ -6,8 +6,6 @@ from __future__ import annotations
 from itertools import combinations, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .graphcore import Graph, _adjacency_bits, _members
 
 Edge = tuple[int, int]
@@ -210,8 +208,10 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 CANONICAL_NODE_BUDGET = 200_000
 
 
-def _dense_ranks(key: np.ndarray) -> np.ndarray:
+def _dense_ranks(key):
     """Rank of each entry among the distinct values of its row, from 0."""
+    import numpy as np
+
     order = np.argsort(key, axis=1)
     step = np.zeros(key.shape, dtype=np.int64)
     step[:, 1:] = np.diff(np.take_along_axis(key, order, axis=1), axis=1) != 0
@@ -220,7 +220,7 @@ def _dense_ranks(key: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _stable_colours(adj: np.ndarray) -> np.ndarray:
+def _stable_colours(adj):
     """Stable colours of neighbourhood refinement from one colour, one row
     per graph of a stack of int64 0/1 adjacency matrices of order n <= 15.
 
@@ -234,6 +234,8 @@ def _stable_colours(adj: np.ndarray) -> np.ndarray:
     the sum below n**n.  Ranks are dense, so a round that adds no class
     repeats its colours, and refinement ends once no row changes.
     """
+    import numpy as np
+
     n = adj.shape[-1]
     if n > 15:
         raise ValueError(f"refinement keys overflow int64 at n={n}")
@@ -463,6 +465,8 @@ def _leading_colours(children: Iterable[list[int]]
     has the minimum degree and the largest colour among the minimum-degree
     vertices.  Children are read and refined REFINE_BLOCK at a time, so
     neither they nor their stacks are held for a whole level."""
+    import numpy as np
+
     children = iter(children)
     while block := list(islice(children, REFINE_BLOCK)):
         adj = _adjacency_bits(block, len(block[0])).astype(np.int64)

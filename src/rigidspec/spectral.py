@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .graphcore import Graph, linked_cliques
 
 
@@ -16,6 +14,8 @@ def spectral_radius(g: Graph) -> float:
     symmetric nonnegative)."""
     if g.n < 1:
         raise ValueError("spectrum needs at least 1 vertex")
+    import numpy as np
+
     return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
 
 
@@ -28,6 +28,8 @@ def _spectra(g: Graph) -> tuple[float, Optional[float]]:
     D - A: LAPACK solves each matrix of a stack on its own, so each value
     is the one an eigensolve of that matrix alone gives.
     """
+    import numpy as np
+
     a = g.adjacency_matrix()
     vals = np.linalg.eigvalsh(np.stack((a, np.diag(a.sum(axis=1)) - a)))
     return float(vals[0, -1]), float(vals[1, 1]) if g.n >= 2 else None
@@ -59,9 +61,11 @@ class CharQuartic(NamedTuple):
         return acc
 
 
-def linked_cliques_quotient(n: int, a: int, links: int) -> np.ndarray:
+def linked_cliques_quotient(n: int, a: int, links: int):
     """4x4 quotient over the classes (matched-in-small, rest-of-small,
     matched-in-large, rest-of-large); equitable whenever all are nonempty."""
+    import numpy as np
+
     i = links
     return np.array(
         [
@@ -106,6 +110,8 @@ def linked_cliques_rho(n: int, a: int, links: int) -> float:
     lo = float(n - min(a, n - a) - 2)
     hi = float(n - 1)
     if not (poly.evaluate(lo) < 0.0 <= poly.evaluate(hi)):
+        import numpy as np
+
         vals = np.linalg.eigvals(linked_cliques_quotient(n, a, links))
         return float(vals.real.max())
     x = 0.5 * (lo + hi)

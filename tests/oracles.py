@@ -7,15 +7,15 @@ them on their own.  No command-line path runs any of them.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from rigidspec import (Graph, PebbleGame, Placement, RigidityVerdict,
-                       rigidity, rigidity_verdict, vertex_connectivity,
-                       write_graph6)
+from rigidspec import (Graph, PebbleGame, RigidityVerdict, rigidity,
+                       rigidity_verdict, vertex_connectivity, write_graph6)
 from rigidspec.graphcore import GRAPH6_HEADER, Graph6Error, _g6_parse_n, _members
 
 Edge = tuple[int, int]
@@ -99,6 +99,82 @@ def cut_size_law_holds(g: Graph, subset: Iterable[int]) -> bool:
     if out > delta - 1:
         return True
     return len(fs) >= delta + 1
+
+
+# -- rigidity-matrix rank in floating point --------------------------------
+#
+# The float route that `oracle.exact_rank` replaced on the command line:
+# a singular-value rank at real points, with a relative threshold.
+
+DEFAULT_RANK_TOL = 1e-9
+
+
+class DegeneratePlacementError(ValueError):
+    """Placement with coincident points."""
+
+
+class Placement:
+    """Immutable planar coordinates for vertices 0..n-1, one row per
+    vertex; equal only to itself."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        c = np.asarray(coords, dtype=float)
+        if c.ndim != 2 or c.shape[1] != 2:
+            raise ValueError(f"coords must be (n, 2), got {c.shape}")
+        rows = {tuple(row) for row in c}
+        if len(rows) != len(c):
+            raise DegeneratePlacementError("coincident points in placement")
+        object.__setattr__(self, "coords", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Placement is immutable")
+
+    def __reduce__(self):
+        return Placement, (self.coords,)
+
+    def __repr__(self) -> str:
+        return f"Placement(coords={self.coords!r})"
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+
+def random_placement(n: int, seed: int) -> Placement:
+    """Points drawn uniformly from [1, 2)^2 by `random.Random(seed)`, x then
+    y for each vertex in turn; the seed must be non-negative."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    draw = random.Random(seed).random
+    return Placement(1.0 + np.array([draw() for _ in range(2 * n)])
+                     .reshape(n, 2))
+
+
+def rigidity_matrix(g: Graph, pl: Placement) -> np.ndarray:
+    """m x 2n first-order flex constraint matrix: the row of edge uv holds
+    p(u) - p(v) in u's coordinate block and the negation in v's."""
+    if pl.n != g.n:
+        raise ValueError(f"placement has {pl.n} points for n={g.n}")
+    ends = np.fromiter(chain.from_iterable(g.edge_list()), dtype=np.intp,
+                       count=2 * g.m)
+    u, v = ends[0::2], ends[1::2]
+    d = pl.coords[u] - pl.coords[v]
+    rows = np.arange(g.m)
+    mat = np.zeros((g.m, g.n, 2))  # row r, vertex w, coordinate
+    mat[rows, u] = d
+    mat[rows, v] = -d
+    return mat.reshape(g.m, 2 * g.n)
+
+
+def numeric_rank(g: Graph, pl: Placement) -> int:
+    """Singular-value rank of the rigidity matrix, with threshold
+    DEFAULT_RANK_TOL relative to the largest singular value."""
+    if g.m == 0:
+        return 0
+    svals = np.linalg.svd(rigidity_matrix(g, pl), compute_uv=False)
+    return int(np.sum(svals > DEFAULT_RANK_TOL * svals[0]))
 
 
 def trivial_motion_space(pl: Placement) -> np.ndarray:

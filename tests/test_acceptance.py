@@ -39,14 +39,12 @@ from rigidspec import (
     linked_cliques_quotient,
     linked_cliques_rho,
     minimally_rigid_levels,
-    numeric_rank,
     pebble_rank,
-    random_placement,
     spectral_radius,
 )
-from rigidspec.oracle import DEFAULT_RANK_TOL
 from conftest import graph_from_mask, iso_class_representatives, vertex_pairs
 from oracles import (
+    DEFAULT_RANK_TOL,
     brute_max_partition,
     brute_minimally_rigid,
     brute_sparse_rank,
@@ -55,6 +53,8 @@ from oracles import (
     cut_size_law_holds,
     hong_bound_function,
     max_clique_partition_edges,
+    numeric_rank,
+    random_placement,
 )
 
 GRID = [

@@ -1,4 +1,5 @@
-"""Numeric rank, exhaustive sparsity oracles, packing and cut-size checks."""
+"""Exact and numeric rank, exhaustive sparsity oracles, packing and
+cut-size checks."""
 import copy
 import pickle
 import random
@@ -7,27 +8,28 @@ import numpy as np
 import pytest
 
 from rigidspec import (
-    DegeneratePlacementError,
     Graph,
-    Placement,
+    exact_rank,
     linked_cliques,
-    numeric_rank,
     packing_violation_search,
     pebble_rank,
-    random_placement,
-    rigidity_matrix,
 )
 from rigidspec.graphcore import _members
 from conftest import all_labeled_graphs, random_graph
 from oracles import (
+    DegeneratePlacementError,
+    Placement,
     brute_minimally_rigid,
     brute_sparse_rank,
     complete_graph,
     cut_size_law_holds,
     cycle_graph,
     exhaustive_packing_violation,
+    numeric_rank,
     packing_holds,
     packing_terms,
+    random_placement,
+    rigidity_matrix,
     set_partitions,
     trivial_motion_space,
     verdict_of,
@@ -130,7 +132,33 @@ def test_numeric_rank_detects_rigidity():
     ]:
         pl = random_placement(g.n, 5)
         assert (numeric_rank(g, pl) == 2 * g.n - 3) == expect
+        assert (exact_rank(g, 5) == 2 * g.n - 3) == expect
         assert verdict_of(g).rigid == expect
+
+
+def test_exact_rank_matches_pebble_and_numeric_rank(connected_labeled_upto6):
+    """The rank modulo 2^31 - 1 equals the pebble rank on every connected
+    graph with n <= 6, and both the pebble and the float rank on seeded
+    G(n, p), n <= 14, which has one- and two-vertex and disconnected
+    graphs."""
+    for k, g in enumerate(connected_labeled_upto6):
+        assert exact_rank(g, k) == pebble_rank(g), g.edge_list()
+    rng = random.Random(107)
+    orders = [0, 1, 1, 2, 2, 2] + [rng.randint(3, 14) for _ in range(600)]
+    for n in orders:
+        g = random_graph(rng, n, rng.random())
+        seed = rng.randrange(2**32)
+        rank = pebble_rank(g)
+        assert exact_rank(g, seed) == rank, (g.edge_list(), seed)
+        assert numeric_rank(g, random_placement(g.n, seed)) == rank
+
+
+def test_exact_rank_seeds():
+    g = linked_cliques(12, 5, 2)
+    assert {exact_rank(g, s) for s in range(10)} == {pebble_rank(g)}
+    assert exact_rank(g, 2**70) == pebble_rank(g)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        exact_rank(g, -1)
 
 
 def test_brute_sparse_rank_exhaustive_small():

@@ -1,6 +1,6 @@
 """Property tests: graph6 round trip against the bit-shifting codec,
 connectivity and reports invariant under vertex relabelling, pebble rank
-against numeric rank, and the pebble game against its one-search-per-end
+against numeric and exact rank, and the pebble game against its one-search-per-end
 oracle."""
 import random
 
@@ -12,11 +12,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from rigidspec import (  # noqa: E402
     Graph,
     analyze_graph,
+    exact_rank,
     json_stable,
-    numeric_rank,
     parse_graph6,
     pebble_rank,
-    random_placement,
     vertex_connectivity,
     write_graph6,
 )
@@ -24,6 +23,8 @@ from rigidspec.rigidity import _run_pebble_game  # noqa: E402
 from rigidspec.verify import REPORT_TOL  # noqa: E402
 from oracles import (  # noqa: E402
     complete_graph,
+    numeric_rank,
+    random_placement,
     reference_parse_graph6,
     reference_pebble_game,
     reference_write_graph6,
@@ -100,8 +101,11 @@ def test_report_invariant_under_relabelling(pair):
 @given(graphs(0, 10), st.integers(0, 2**32 - 1))
 def test_pebble_rank_matches_numeric_rank(g, seed):
     """The pebble game's rank is the rigidity matrix's rank at a random,
-    hence generic, placement."""
-    assert pebble_rank(g) == numeric_rank(g, random_placement(g.n, seed))
+    hence generic, placement: in floating point at real points, and
+    exactly modulo a prime at integer points."""
+    rank = pebble_rank(g)
+    assert rank == numeric_rank(g, random_placement(g.n, seed))
+    assert rank == exact_rank(g, seed)
 
 
 @settings(PROPERTY, max_examples=300)

@@ -14,9 +14,7 @@ from rigidspec import (
     laman_extremal_report,
     linked_cliques,
     minimally_rigid_levels,
-    numeric_rank,
     pebble_rank,
-    random_placement,
     rigidity_verdict,
     spectral_radius,
     write_graph6,
@@ -42,6 +40,8 @@ from oracles import (
     canonical_graph,
     complete_graph,
     cycle_graph,
+    numeric_rank,
+    random_placement,
     reference_canonical_rows,
     reference_pebble_game,
     reference_refinement_rounds,

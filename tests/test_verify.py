@@ -375,15 +375,48 @@ def test_closing_parallel_analysis_stops_the_workers(monkeypatch):
 
 def test_cli_import_leaves_process_pool_unloaded():
     # nor dataclasses, whose generated methods are compiled at import, nor
-    # csv, which only CSV output needs
+    # csv, which only CSV output needs, nor numpy, which only the
+    # eigensolving subcommands need
     src = os.path.dirname(os.path.dirname(rigidspec.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     code = ("import sys, rigidspec.cli; sys.exit(str([m for m in "
-            "('multiprocessing.pool', 'dataclasses', 'csv') "
+            "('multiprocessing.pool', 'dataclasses', 'csv', 'numpy') "
             "if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.stderr == "[]\n"
+
+
+# runs `python -m rigidspec.cli ARGS` and writes to stderr whether numpy was
+# loaded when the heap was frozen, then, from an exit hook registered first
+# so that it runs last, whether numpy was loaded at exit and the frozen count
+CLI_LAUNCHER = """\
+import atexit, gc, runpy, sys
+freeze = gc.freeze
+
+
+def report_freeze():
+    sys.stderr.write(f"numpy at freeze {'numpy' in sys.modules}\\n")
+    freeze()
+
+
+gc.freeze = report_freeze
+atexit.register(lambda: sys.stderr.write(
+    f"numpy at exit {'numpy' in sys.modules}\\n"
+    f"frozen {gc.get_freeze_count()}\\n"))
+runpy.run_module("rigidspec.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _cli_process(argv, stdin=""):
+    """(exit code, stdout, {stderr key: value}) of a CLI process."""
+    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", CLI_LAUNCHER, *argv],
+                          env=env, input=stdin, capture_output=True,
+                          text=True)
+    facts = dict(line.rsplit(" ", 1) for line in proc.stderr.splitlines())
+    return proc.returncode, proc.stdout, facts
 
 
 def test_cli_freezes_the_heap_only_in_its_own_process(capsys):
@@ -392,30 +425,25 @@ def test_cli_freezes_the_heap_only_in_its_own_process(capsys):
     assert cli_main(argv) == 0
     assert gc.get_freeze_count() == before
     in_process = capsys.readouterr().out
-    # run as `python -m rigidspec.cli`, with an exit hook registered first,
-    # so that it runs last
-    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    launcher = ("import atexit, gc, runpy, sys; atexit.register(lambda: "
-                "sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n')); "
-                "runpy.run_module('rigidspec.cli', run_name='__main__', "
-                "alter_sys=True)")
-    proc = subprocess.run([sys.executable, "-c", launcher, *argv], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == in_process
-    word, count = proc.stderr.split()
-    assert word == "frozen" and int(count) > 0
+    code, out, facts = _cli_process(argv)
+    assert code == 0 and out == in_process
+    assert int(facts["frozen"]) > 0
+    # the eigensolving subcommands load numpy before the freeze, so that
+    # its objects are frozen too
+    assert facts["numpy at freeze"] == "True"
+    code, out, facts = _cli_process(["analyze", "-"], stdin="Bw\n")
+    assert code == 0 and out.startswith('{"graph6":"Bw"')
+    assert facts["numpy at freeze"] == "True" and int(facts["frozen"]) > 0
 
 
-def test_extremal_report_leaves_numpy_random_unloaded():
-    # placements come from the standard library's generator
-    src = os.path.dirname(os.path.dirname(rigidspec.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys; from rigidspec.verify import extremal_family_report; "
-            "assert extremal_family_report(6, 16)['ok']; "
-            "sys.exit('numpy.random' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+def test_extremal_process_leaves_numpy_unloaded():
+    # ranks are exact, in pure Python, and placements come from the
+    # standard library's generator
+    code, out, facts = _cli_process(["extremal", "--delta", "6",
+                                     "--nmax", "16"])
+    assert code == 0 and json.loads(out)["ok"]
+    assert int(facts.pop("frozen")) > 0
+    assert facts == {"numpy at freeze": "False", "numpy at exit": "False"}
 
 
 def test_laman_extremal_report_ok(monkeypatch):
