@@ -198,14 +198,9 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # body, so the canonical form doubles as a corpus-ready graph6 line.
 # Refinement runs in numpy on a stack of 0/1 adjacency matrices, a block
 # of children at once; the search reads adjacency bitmasks: bit w of
-# adj[v] is the edge vw.
-#
-# The search gives up after CANONICAL_NODE_BUDGET nodes.  Refinement cannot
-# split the vertices of a vertex-transitive graph: the 5-cube takes about
-# 110 000 nodes, and the 6-cube would otherwise take minutes.  No labelling
-# of a minimally rigid graph on at most 9 vertices takes more than 400.
-
-CANONICAL_NODE_BUDGET = 200_000
+# adj[v] is the edge vw.  The search recurses once per position, and needs
+# no node bound: its only caller labels minimally rigid graphs on at most 9
+# vertices, and none of them takes more than 392 search nodes.
 
 
 def _dense_ranks(key):
@@ -277,58 +272,36 @@ def _canonical_rows(adj: Sequence[int],
     row = [0] * n  # each vertex's edges to the placed positions
     rows: list[int] = []
     best: list[int] = []
-    nodes = 0
 
     def search(k: int, used: int) -> None:
-        # a position with one pick is placed in this loop, not by a call
-        nonlocal best, nodes
-        forced: list[tuple[int, int]] = []
-        while True:
-            nodes += 1
-            if nodes > CANONICAL_NODE_BUDGET:
-                raise ValueError(
-                    f"canonical labelling of a {n}-vertex graph exceeded "
-                    f"{CANONICAL_NODE_BUDGET} search nodes")
-            if k == n:
-                if rows > best:
-                    best = rows[:]
-                break
-            # prune against the incumbent as soon as the prefix falls behind
-            if rows < best[:k]:
-                break
-            picks = [v for v in schedule[k] if not used >> v & 1]
-            top = max([row[v] for v in picks])
-            if len(picks) > 1:
-                # collapse interchangeable candidates: swapping twins is an
-                # automorphism fixing every placed vertex
-                cands, picks = picks, []
-                for v in cands:
-                    if row[v] == top and not any(
-                            (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
-                            for w in picks):
-                        picks.append(v)
-            rows.append(top)
-            bit = 1 << (n - 1 - k)
-            if len(picks) == 1:
-                v = picks[0]
-                for u in nbrs[v]:
-                    row[u] |= bit
-                forced.append((v, bit))
-                k += 1
-                used |= 1 << v
-                continue
-            for v in picks:
-                for u in nbrs[v]:
-                    row[u] |= bit
-                search(k + 1, used | 1 << v)
-                for u in nbrs[v]:
-                    row[u] ^= bit
-            rows.pop()
-            break
-        for v, bit in forced:
+        nonlocal best
+        if k == n:
+            if rows > best:
+                best = rows[:]
+            return
+        # prune against the incumbent as soon as the prefix falls behind
+        if rows < best[:k]:
+            return
+        picks = [v for v in schedule[k] if not used >> v & 1]
+        top = max([row[v] for v in picks])
+        if len(picks) > 1:
+            # collapse interchangeable candidates: swapping twins is an
+            # automorphism fixing every placed vertex
+            cands, picks = picks, []
+            for v in cands:
+                if row[v] == top and not any(
+                        (adj[v] ^ adj[w]) & ~(1 << v | 1 << w) == 0
+                        for w in picks):
+                    picks.append(v)
+        rows.append(top)
+        bit = 1 << (n - 1 - k)
+        for v in picks:
+            for u in nbrs[v]:
+                row[u] |= bit
+            search(k + 1, used | 1 << v)
             for u in nbrs[v]:
                 row[u] ^= bit
-            rows.pop()
+        rows.pop()
 
     search(0, 0)
     return tuple(best)

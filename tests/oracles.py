@@ -14,8 +14,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from rigidspec import (Graph, PebbleGame, RigidityVerdict, rigidity,
-                       rigidity_verdict, vertex_connectivity, write_graph6)
+from rigidspec import (Graph, PebbleGame, RigidityVerdict, rigidity_verdict,
+                       vertex_connectivity, write_graph6)
 from rigidspec.graphcore import GRAPH6_HEADER, Graph6Error, _g6_parse_n, _members
 
 Edge = tuple[int, int]
@@ -489,7 +489,10 @@ def exhaustive_packing_violation(
 # The labelling as the enumeration first shipped it, kept apart from
 # `rigidity` so that the fast labelling is checked against a copy that it
 # cannot change: refinement compares whole colourings to stop, and the
-# search recurses on every pick, forced or not.
+# search runs even when the colours are discrete.  The search stops after
+# REFERENCE_NODE_LIMIT nodes, so that a symmetric graph cannot hang a test.
+
+REFERENCE_NODE_LIMIT = 200_000
 
 
 def reference_refinement_rounds(adj: Sequence[int]) -> Iterator[list[int]]:
@@ -514,8 +517,8 @@ def reference_canonical_rows(adj: Sequence[int],
                              colour: Sequence[int]) -> tuple[int, ...]:
     """Rows of the lexicographically largest relabelling that places the
     colour classes in colour order, by exhaustive class-respecting search
-    with twin collapsing.  Raises ValueError after
-    rigidity.CANONICAL_NODE_BUDGET search nodes."""
+    with twin collapsing.  Raises ValueError after REFERENCE_NODE_LIMIT
+    search nodes."""
     n = len(adj)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colour):
@@ -530,10 +533,10 @@ def reference_canonical_rows(adj: Sequence[int],
     def search(k: int, used: int) -> None:
         nonlocal best, nodes
         nodes += 1
-        if nodes > rigidity.CANONICAL_NODE_BUDGET:
+        if nodes > REFERENCE_NODE_LIMIT:
             raise ValueError(
                 f"canonical labelling of a {n}-vertex graph exceeded "
-                f"{rigidity.CANONICAL_NODE_BUDGET} search nodes")
+                f"{REFERENCE_NODE_LIMIT} search nodes")
         if k == n:
             if rows > best:
                 best = rows[:]
@@ -573,7 +576,7 @@ def canonical_graph(g: Graph) -> Graph:
     """Relabelling of g whose upper-triangle bit string is lexicographically
     largest among all labellings, computed exactly by the reference
     labelling.  Raises ValueError when the search exceeds
-    rigidity.CANONICAL_NODE_BUDGET nodes."""
+    REFERENCE_NODE_LIMIT nodes."""
     if g.n <= 1:
         return g
     rows = reference_canonical_rows(g.adj, _refine_classes(g.adj))

@@ -43,9 +43,10 @@ def _functions(code):
 
 
 def test_every_function_runs_on_a_cli_path(tmp_path):
-    # an earlier test may have filled the cache, so that the cached
-    # function's own frame would never run here
+    # an earlier test may have filled the caches, so that the cached
+    # functions' own frames would never run here
     rigidspec.verify._threshold.cache_clear()
+    rigidspec.verify._encoded_key.cache_clear()
     good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
     good.write_text("".join(write_graph6(g) + "\n" for g in [
         Graph(1), Graph(2, [(0, 1)]), Graph(4, [(0, 1), (2, 3)]),

@@ -1,6 +1,5 @@
 """Pebble-game rank, rigidity predicates, canonical labelling, enumeration."""
 import random
-import time
 from itertools import combinations, permutations
 
 import numpy as np
@@ -786,13 +785,3 @@ def test_enumeration_n9_count_and_radius_maximiser():
     assert graphs[best] == canonical_graph(complete_split_graph(9))
     assert abs(rhos[best] - complete_split_rho(9)) <= 1e-9
     assert sum(r > rhos[best] - 1e-9 for r in rhos) == 1
-
-
-def test_canonical_labelling_budget_stops_hypercube():
-    # refinement cannot split the 6-cube, whose search would take minutes
-    q6 = Graph(64, [(v, v ^ 1 << i) for v in range(64) for i in range(6)
-                    if v < v ^ 1 << i])
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="search nodes"):
-        rigidity._canonical_rows(q6.adj, _refine_classes(q6.adj))
-    assert time.perf_counter() - start < 60
