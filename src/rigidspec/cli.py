@@ -141,9 +141,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     `python -m rigidspec.cli`), so it freezes the import-time heap first:
     the collector then never walks those objects, neither during the run
     nor in the interpreter's last collection at exit.  The subcommands that
-    eigensolve import numpy's ~20 000 objects before the freeze; `extremal`
-    never loads numpy.  Callers passing an argument list keep the collector
-    as it was.
+    eigensolve, `analyze` and `family-sweep`, import numpy's ~20 000
+    objects before the freeze; the other two never load numpy.  Callers
+    passing an argument list keep the collector as it was.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -154,7 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
     if argv is None:
-        if args.command != "extremal":
+        if args.command in ("analyze", "family-sweep"):
             import numpy  # noqa: F401
         gc.freeze()
     try:

@@ -5,6 +5,7 @@ after construction so they can be shared freely across worker processes.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from operator import index
 from typing import AnyStr, Iterable, Iterator, Sequence
@@ -26,6 +27,12 @@ def _members(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+@cache
+def _member_table(n: int) -> list[list[int]]:
+    """_members of each mask below 2**n, by mask, built on first use."""
+    return [_members(mask) for mask in range(1 << n)]
 
 
 def _adjacency_bits(masks: Sequence[Sequence[int]], n: int):

@@ -3,10 +3,10 @@ and inductive enumeration of canonically labelled minimally rigid graphs.
 """
 from __future__ import annotations
 
-from itertools import combinations, islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphcore import Graph, _adjacency_bits, _members
+from .graphcore import Graph, _member_table, _members
 
 Edge = tuple[int, int]
 
@@ -196,28 +196,19 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # label-invariant classes; a class-respecting backtracking search then
 # maximises the upper-triangle bit string, which is exactly the graph6
 # body, so the canonical form doubles as a corpus-ready graph6 line.
-# Refinement runs in numpy on a stack of 0/1 adjacency matrices, a block
-# of children at once; the search reads adjacency bitmasks: bit w of
+# Refinement ranks one exact integer key per vertex and round, a graph at a
+# time, on neighbour lists read from a table of every mask's members that
+# is built on first use; the search reads adjacency bitmasks: bit w of
 # adj[v] is the edge vw.  The search recurses once per position, and needs
 # no node bound: its only caller labels minimally rigid graphs on at most 9
 # vertices, and none of them takes more than 392 search nodes.
 
 
-def _dense_ranks(key):
-    """Rank of each entry among the distinct values of its row, from 0."""
-    import numpy as np
-
-    order = np.argsort(key, axis=1)
-    step = np.zeros(key.shape, dtype=np.int64)
-    step[:, 1:] = np.diff(np.take_along_axis(key, order, axis=1), axis=1) != 0
-    ranks = np.empty_like(step)
-    np.put_along_axis(ranks, order, step.cumsum(axis=1), axis=1)
-    return ranks
-
-
-def _stable_colours(adj):
-    """Stable colours of neighbourhood refinement from one colour, one row
-    per graph of a stack of int64 0/1 adjacency matrices of order n <= 15.
+def _stable_colours(adj: Sequence[int],
+                    lead: bool = False) -> Optional[list[int]]:
+    """Stable colours of neighbourhood refinement from one colour of a
+    graph given by adjacency masks.  With lead, None as soon as the last
+    vertex is seen to fail the new-vertex test below.
 
     The first round ranks the degrees.  Each later round ranks the vertices
     by their colour and then by the sorted colours of their neighbours, so
@@ -226,22 +217,36 @@ def _stable_colours(adj):
     in the order of their counts of each colour, reversed, colour 0 first.
     So colour * n**n minus the sum of n**(n-1-c) over the neighbours'
     colours c ranks the vertices the same way: each count is below n, and
-    the sum below n**n.  Ranks are dense, so a round that adds no class
-    repeats its colours, and refinement ends once no row changes.
+    the sum below n**n.  The order only refines, so refinement ends at a
+    round that adds no class or leaves single vertices, and a vertex whose
+    key exceeds the last vertex's outranks it in every later round.
     """
-    import numpy as np
-
-    n = adj.shape[-1]
-    if n > 15:
-        raise ValueError(f"refinement keys overflow int64 at n={n}")
-    weight = np.int64(n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    colour = _dense_ranks(adj.sum(axis=2))
+    n = len(adj)
+    table = _member_table(n)
+    nbrs = [table[a] for a in adj]
+    keys = [len(nb) for nb in nbrs]
+    if lead:
+        low = min(keys)
+        if keys[-1] != low:
+            return None
+        rivals = [v for v in range(n - 1) if keys[v] == low]
+    top = n ** n
+    colour = [0] * n
+    classes = 1
     while True:
-        spread = np.matmul(adj, weight[colour][:, :, None])[:, :, 0]
-        new = _dense_ranks(colour * np.int64(n) ** n - spread)
-        if np.array_equal(new, colour):
+        distinct = sorted(set(keys))
+        if len(distinct) == classes:
             return colour
-        colour = new
+        rank = {k: i for i, k in enumerate(distinct)}
+        colour = [rank[k] for k in keys]
+        classes = len(distinct)
+        if classes == n:
+            return colour
+        weight = [n ** (n - 1 - c) for c in colour]
+        keys = [c * top - sum(map(weight.__getitem__, nb))
+                for c, nb in zip(colour, nbrs)]
+        if lead and any(keys[v] > keys[-1] for v in rivals):
+            return None
 
 
 def _canonical_rows(adj: Sequence[int],
@@ -255,7 +260,8 @@ def _canonical_rows(adj: Sequence[int],
     """
     n = len(adj)
     order = sorted(range(n), key=colour.__getitem__)
-    nbrs = [_members(a) for a in adj]
+    table = _member_table(n)
+    nbrs = [table[a] for a in adj]
     if len(set(colour)) == n:
         # one vertex per class: the colour order is the relabelling, and
         # row k keeps the bits of positions before k
@@ -357,13 +363,6 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
 # Aut(P) is enough.  Automorphisms preserve the stable colours, so Aut(P)
 # is found by backtracking inside the colour classes, and is trivial when
 # the colours are discrete.
-#
-# Children are generated lazily and refined in stacks of REFINE_BLOCK.
-# A stack holds several int64 n x n arrays per child, over 10 MB for the
-# whole of level 9, while blocks of a few hundred children refine as fast
-# as one stack.
-
-REFINE_BLOCK = 256
 
 
 def _automorphisms(adj: Sequence[int],
@@ -433,24 +432,14 @@ def _extensions(adj: Sequence[int],
 
 def _leading_colours(children: Iterable[list[int]]
                      ) -> Iterator[tuple[list[int], list[int]]]:
-    """(child, stable colours) for each child, given by adjacency masks of
-    one order, whose new vertex passes the new-vertex test: the last vertex
-    has the minimum degree and the largest colour among the minimum-degree
-    vertices.  Children are read and refined REFINE_BLOCK at a time, so
-    neither they nor their stacks are held for a whole level."""
-    import numpy as np
-
-    children = iter(children)
-    while block := list(islice(children, REFINE_BLOCK)):
-        adj = _adjacency_bits(block, len(block[0])).astype(np.int64)
-        colour = _stable_colours(adj)
-        degree = adj.sum(axis=2)
-        low = degree.min(axis=1, keepdims=True)
-        lead = np.where(degree == low, colour, -1).max(axis=1)
-        passes = (degree[:, -1] == low[:, 0]) & (colour[:, -1] == lead)
-        stable = colour.tolist()
-        for i in np.flatnonzero(passes).tolist():
-            yield block[i], stable[i]
+    """(child, stable colours) for each child, given by adjacency masks,
+    whose new vertex passes the new-vertex test: the last vertex has the
+    minimum degree and the largest colour among the minimum-degree
+    vertices.  Children are read and refined one at a time."""
+    for child in children:
+        colour = _stable_colours(child, lead=True)
+        if colour is not None:
+            yield child, colour
 
 
 def minimally_rigid_levels(nmin: int,

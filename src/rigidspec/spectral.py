@@ -4,9 +4,9 @@ spectral quantities of the two-clique and hub-pair extremal families.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .graphcore import Graph, linked_cliques
+from .graphcore import Graph, _member_table, linked_cliques
 
 
 def spectral_radius(g: Graph) -> float:
@@ -35,6 +35,31 @@ def _spectra(g: Graph) -> tuple[float, Optional[float]]:
     return float(vals[0, -1]), float(vals[1, 1]) if g.n >= 2 else None
 
 
+def _perron_brackets(adj: Sequence[int]) -> Iterator[tuple[float, float]]:
+    """Ever narrower brackets (lo, hi) of the spectral radius of a connected
+    graph on few vertices, given by adjacency masks, ending with lo == hi.
+
+    Exact power iteration of A + I from the all-ones vector: the least and
+    the greatest ratio (x_{k+1})_v / (x_k)_v bracket rho + 1, the first at
+    the degrees plus 1 (Collatz-Wielandt; Wielandt 1950), and close on it,
+    as A + I is primitive.  Each end is rounded, then widened by a float
+    step; the last bracket is the point rho + 1 rounded, less 1 exactly.
+    """
+    table = _member_table(len(adj))
+    nbrs = [table[a] for a in adj]
+    x = [1] * len(adj)
+    while True:
+        y = [xv + sum(map(x.__getitem__, nb)) for xv, nb in zip(x, nbrs)]
+        ratios = [a / b for a, b in zip(y, x)]
+        lo, hi = min(ratios), max(ratios)
+        if lo == hi:
+            yield lo - 1.0, hi - 1.0
+            return
+        yield (math.nextafter(lo, -math.inf) - 1.0,
+               math.nextafter(hi, math.inf) - 1.0)
+        x = y
+
+
 # -- two-clique family: closed forms --------------------------------------
 
 
@@ -51,13 +76,6 @@ class CharQuartic(NamedTuple):
         acc = 0
         for c in self.coefficients:
             acc = acc * x + c
-        return acc
-
-    def derivative_value(self, x: float) -> float:
-        acc = 0.0
-        degree = len(self.coefficients) - 1
-        for k, c in enumerate(self.coefficients[:-1]):
-            acc = acc * x + (degree - k) * c
         return acc
 
 
@@ -114,16 +132,18 @@ def linked_cliques_rho(n: int, a: int, links: int) -> float:
 
         vals = np.linalg.eigvals(linked_cliques_quotient(n, a, links))
         return float(vals.real.max())
+    _, c1, c2, c3, c4 = poly.coefficients
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        fx = poly.evaluate(x)
+        # Horner's rule, in the float operations of poly.evaluate
+        fx = (((x + c1) * x + c2) * x + c3) * x + c4
         if fx < 0.0:
             lo = x
         else:
             hi = x
         if hi - lo <= 1e-12:
             break
-        d = poly.derivative_value(x)
+        d = ((4.0 * x + 3 * c1) * x + 2 * c2) * x + c3
         if d != 0.0:
             step = x - fx / d
             if lo < step < hi:

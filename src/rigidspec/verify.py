@@ -25,13 +25,13 @@ from .graphcore import (
 )
 from .oracle import exact_rank, packing_violation_search
 from .rigidity import (
-    REFINE_BLOCK,
     RigidityVerdict,
     minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
 )
 from .spectral import (
+    _perron_brackets,
     _spectra,
     complete_split_rho,
     hong_bound,
@@ -302,22 +302,25 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
     spectral radius with the hub-pair closed form (1 + sqrt(8n-15))/2."""
     if not 3 <= nmin <= nmax <= 9:
         raise ValueError(f"need 3 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
-    import numpy as np
-
     rows = []
     ok = True
     for n, graphs in minimally_rigid_levels(nmin, nmax):
-        # stacked eigensolves of REFINE_BLOCK graphs: LAPACK runs per
-        # matrix, so each value is the one spectral_radius(g) gives, and no
-        # stack of a whole level's float matrices is held
-        rhos = []
-        for i in range(0, len(graphs), REFINE_BLOCK):
-            block = [g.adj for g in graphs[i:i + REFINE_BLOCK]]
-            mats = _adjacency_bits(block, n).astype(float)
-            rhos += np.linalg.eigvalsh(mats)[:, -1].tolist()
-        best = max(range(len(graphs)), key=rhos.__getitem__)
+        # Perron brackets: the highest first one, at the maximum degree,
+        # converges first; a bracket 2 * REPORT_TOL below a radius holds
+        # neither the maximum nor a radius within REPORT_TOL of it
+        top = max(range(len(graphs)), key=lambda i: max(graphs[i].degrees()))
+        rhos = {}
+        floor = -math.inf
+        for i in [top, *range(top), *range(top + 1, len(graphs))]:
+            for lo, hi in _perron_brackets(graphs[i].adj):
+                if hi < floor:
+                    break
+            else:
+                rhos[i] = lo
+                floor = max(floor, lo - 2 * REPORT_TOL)
+        best = max(sorted(rhos), key=rhos.__getitem__)
         expected = complete_split_rho(n)
-        near = [i for i, r in enumerate(rhos) if r > rhos[best] - REPORT_TOL]
+        near = [i for i, r in rhos.items() if r > rhos[best] - REPORT_TOL]
         unique = len(near) == 1
         matches = _is_hub_pair(graphs[best])
         closed_ok = abs(rhos[best] - expected) <= REPORT_TOL

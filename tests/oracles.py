@@ -606,6 +606,28 @@ def algebraic_connectivity(g: Graph) -> float:
     return float(np.linalg.eigvalsh(laplacian_matrix(g))[1])
 
 
+def exceeds_spectral_radius(g: Graph, t: float) -> bool:
+    """Whether t is above every adjacency eigenvalue of g, decided exactly:
+    tI - A is then positive definite, so every pivot of its Gaussian
+    elimination, in rational arithmetic and without row swaps, is positive.
+    """
+    from fractions import Fraction
+
+    n = g.n
+    t = Fraction(t)
+    m = [[t if i == j else -Fraction(g.adj[i] >> j & 1) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
 # -- paper lemmas: quotients, Hong's bound, clique partitions -------------
 
 

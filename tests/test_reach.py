@@ -47,6 +47,7 @@ def test_every_function_runs_on_a_cli_path(tmp_path):
     # functions' own frames would never run here
     rigidspec.verify._threshold.cache_clear()
     rigidspec.verify._encoded_key.cache_clear()
+    rigidspec.graphcore._member_table.cache_clear()
     good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
     good.write_text("".join(write_graph6(g) + "\n" for g in [
         Graph(1), Graph(2, [(0, 1)]), Graph(4, [(0, 1), (2, 3)]),

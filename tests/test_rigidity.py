@@ -19,7 +19,7 @@ from rigidspec import (
     write_graph6,
 )
 from rigidspec import rigidity
-from rigidspec.graphcore import _adjacency_bits, _members
+from rigidspec.graphcore import _members
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
     all_labeled_graphs,
@@ -398,10 +398,10 @@ def test_isomorphism_agrees_with_networkx():
 
 
 def _assert_labelling_matches_reference(graphs):
-    """The package's stable colours and canonical rows of graphs of one
-    order, given by adjacency masks, equal the reference labelling's."""
-    adj = _adjacency_bits(graphs, len(graphs[0])).astype(np.int64)
-    for masks, colour in zip(graphs, rigidity._stable_colours(adj).tolist()):
+    """The package's stable colours and canonical rows of graphs given by
+    adjacency masks equal the reference labelling's."""
+    for masks in graphs:
+        colour = rigidity._stable_colours(masks)
         assert colour == _refine_classes(masks)
         assert (rigidity._canonical_rows(masks, colour)
                 == reference_canonical_rows(masks, colour))
@@ -433,8 +433,6 @@ def test_labelling_matches_reference_on_symmetric_and_random_graphs():
     for n in range(1, 16):
         _assert_labelling_matches_reference(
             [random_graph(rng, n, rng.random()).adj for _ in range(20)])
-    with pytest.raises(ValueError, match="overflow"):
-        rigidity._stable_colours(np.zeros((1, 16, 16), dtype=np.int64))
 
 
 # -- enumeration ----------------------------------------------------------
@@ -599,7 +597,7 @@ def _assert_rounds_refine(adj):
 
 
 def test_each_refinement_round_refines_the_last():
-    # the stacked refinement's keys rest on this: vertices of one colour
+    # the refinement's keys rest on this: vertices of one colour
     # share a degree, so their neighbour multisets have one size
     for _, graphs in minimally_rigid_levels(2, 8):
         for g in graphs:
@@ -644,18 +642,10 @@ def _unpruned_extensions(adj):
                     yield child + [1 << u | 1 << v | 1 << w]
 
 
-def test_new_vertex_test_matches_stable_colour_test(monkeypatch):
+def test_new_vertex_test_matches_stable_colour_test():
     # reference: refine each child alone, then test its new vertex; the
-    # children are read once and refined in blocks of any size, the whole
-    # level included, and no stack exceeds the block
-    stacks = []
-    stable = rigidity._stable_colours
-
-    def recording(adj):
-        stacks.append(len(adj))
-        return stable(adj)
-
-    monkeypatch.setattr(rigidity, "_stable_colours", recording)
+    # children are read to their end in one pass, and a child that fails
+    # gets no colours
     for _, graphs in minimally_rigid_levels(2, 7):
         children = [child for g in graphs
                     for child in _unpruned_extensions(g.adj)]
@@ -667,13 +657,11 @@ def test_new_vertex_test_matches_stable_colour_test(monkeypatch):
             if degree[-1] == low and colour[-1] == max(
                     c for c, d in zip(colour, degree) if d == low):
                 expected.append((child, colour))
-        for block in (1, 7, len(children)):
-            monkeypatch.setattr(rigidity, "REFINE_BLOCK", block)
-            stacks.clear()
-            got = list(rigidity._leading_colours(iter(children)))
-            assert got == expected
-            assert max(stacks) <= block
-            assert sum(stacks) == len(children)
+            else:
+                assert rigidity._stable_colours(child, lead=True) is None
+        children = iter(children)
+        assert list(rigidity._leading_colours(children)) == expected
+        assert next(children, None) is None
 
 
 def test_pruning_automorphisms_are_the_whole_group():

@@ -1,4 +1,5 @@
 """Spectra, equitable quotients, closed forms, and degree-based bounds."""
+import math
 import random
 import sys
 from pathlib import Path
@@ -15,10 +16,11 @@ from rigidspec import (
     linked_cliques_char_poly,
     linked_cliques_quotient,
     linked_cliques_rho,
+    minimally_rigid_levels,
     parse_graph6,
     spectral_radius,
 )
-from rigidspec.spectral import _spectra
+from rigidspec.spectral import _perron_brackets, _spectra
 from conftest import random_graph
 from oracles import (
     algebraic_connectivity,
@@ -26,6 +28,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     edge_lower_bound,
+    exceeds_spectral_radius,
     hong_bound_function,
     hong_equality_condition,
     is_connected,
@@ -82,6 +85,61 @@ def test_radius_between_average_and_max_degree():
             continue
         rho = spectral_radius(g)
         assert 2.0 * g.m / g.n - 1e-9 <= rho <= max(g.degrees()) + 1e-9
+
+
+def _assert_perron_brackets(g):
+    """g's Perron brackets start at its degrees, each lies in the one
+    before, and the last two-ended one holds the exact radius.  The last is
+    a point within a float step of the exact radius, and every bracket
+    holds the eigensolver's radius to within 2n float steps: a backward
+    stable eigensolver is off by up to about n * eps * rho, and LAPACK's
+    is off by up to 10 steps on the minimally rigid graphs of order 8."""
+    rho = spectral_radius(g)
+    slack = 2 * g.n * math.ulp(rho)
+    brackets = list(_perron_brackets(g.adj))
+    lo, hi = brackets[0]
+    low, top = min(g.degrees()), max(g.degrees())
+    assert math.nextafter(low + 1.0, -math.inf) - 1.0 <= lo <= low
+    assert top <= hi <= math.nextafter(top + 1.0, math.inf) - 1.0
+    for (a, b), (c, d) in zip(brackets, brackets[1:]):
+        assert a <= c and d <= b
+    for a, b in brackets:
+        assert a - slack <= rho <= b + slack
+    *wide, (lo, hi) = brackets
+    assert lo == hi
+    step = math.ulp(lo)
+    assert exceeds_spectral_radius(g, lo + step)
+    assert not exceeds_spectral_radius(g, lo - step)
+    if wide:
+        a, b = wide[-1]
+        assert exceeds_spectral_radius(g, b)
+        assert not exceeds_spectral_radius(g, a)
+    else:
+        # a regular graph: its degree is its radius
+        assert lo == low == top
+
+
+def test_perron_brackets_on_every_minimally_rigid_graph():
+    count = 0
+    for _, graphs in minimally_rigid_levels(2, 8):
+        for g in graphs:
+            _assert_perron_brackets(g)
+            count += 1
+    assert count == 1 + 1 + 1 + 3 + 13 + 70 + 608
+
+
+def test_perron_brackets_on_random_connected_graphs():
+    rng = random.Random(47)
+    checked = 0
+    for n in range(1, 15):
+        for _ in range(12):
+            g = random_graph(rng, n, rng.uniform(0.15, 0.9))
+            if is_connected(g):
+                _assert_perron_brackets(g)
+                checked += 1
+    assert checked > 100
+    for g in (complete_graph(7), cycle_graph(9), complete_split_graph(11)):
+        _assert_perron_brackets(g)
 
 
 def test_quotient_matrix_equitable_detection():

@@ -41,6 +41,7 @@ from rigidspec.spectral import linked_cliques_rho
 from rigidspec.verify import (
     CSV_COLUMNS,
     REPORT_KEYS,
+    _fmt_float,
     _is_hub_pair,
     _isomorphic_to_family,
     _threshold,
@@ -437,26 +438,28 @@ def test_cli_freezes_the_heap_only_in_its_own_process(capsys):
 
 
 def test_extremal_process_leaves_numpy_unloaded():
-    # ranks are exact, in pure Python, and placements come from the
-    # standard library's generator
-    code, out, facts = _cli_process(["extremal", "--delta", "6",
-                                     "--nmax", "16"])
-    assert code == 0 and json.loads(out)["ok"]
-    assert int(facts.pop("frozen")) > 0
-    assert facts == {"numpy at freeze": "False", "numpy at exit": "False"}
+    # extremal ranks exactly, in pure Python, and places points with the
+    # standard library's generator; laman-extremal refines colours in pure
+    # Python and takes its radii from exact Perron brackets
+    for argv in (["extremal", "--delta", "6", "--nmax", "16"],
+                 ["laman-extremal", "--nmin", "3", "--nmax", "7"]):
+        code, out, facts = _cli_process(argv)
+        assert code == 0 and json.loads(out)["ok"]
+        assert int(facts.pop("frozen")) > 0
+        assert facts == {"numpy at freeze": "False",
+                         "numpy at exit": "False"}
 
 
-def test_laman_extremal_report_ok(monkeypatch):
-    rep = laman_extremal_report(3, 6)
+def test_laman_extremal_report_ok():
+    rep = laman_extremal_report(3, 9)
     assert rep["ok"]
-    assert [row["count"] for row in rep["rows"]] == [1, 1, 3, 13]
+    assert [row["count"] for row in rep["rows"]] == [1, 1, 3, 13, 70, 608,
+                                                     7222]
     assert all(row["argmax_is_hub_pair"] for row in rep["rows"])
-    # stacked eigensolves give each graph's own radius, bit for bit
-    for row, (_, graphs) in zip(rep["rows"], minimally_rigid_levels(3, 6)):
-        assert row["max_rho"] == max(map(spectral_radius, graphs))
-    # and so does a level split over several stacks
-    monkeypatch.setattr(rigidspec.verify, "REFINE_BLOCK", 4)
-    assert laman_extremal_report(3, 6) == rep
+    # the converged Perron bracket prints as the eigensolver's maximum
+    for row, (_, graphs) in zip(rep["rows"], minimally_rigid_levels(3, 9)):
+        assert (_fmt_float(row["max_rho"])
+                == _fmt_float(max(map(spectral_radius, graphs))))
     with pytest.raises(ValueError):
         laman_extremal_report(3, 10)
 
