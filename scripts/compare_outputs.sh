@@ -7,7 +7,8 @@
 # BASE_SRC and HEAD_SRC are `src/` directories.  The inputs are the three
 # sweeps at their README defaults (JSON, and CSV where the subcommand has
 # --format), `laman-extremal` up to the largest order it grows (n = 9, JSON
-# and CSV), `family-sweep` with three links, `extremal --delta 9 --nmax 40`
+# and CSV), `family-sweep` with three links and with four links up to
+# n = 200, `extremal --delta 9 --nmax 40`
 # (at seed 5, and as CSV), `extremal --delta 7 --nmax 60` and
 # `extremal --delta 8 --nmax 50 --seed 3` for larger family members,
 # `extremal` at seed 0 and at the rejected seed -1 (its stderr and exit
@@ -17,7 +18,11 @@
 # whose disconnected graphs print eigensolver noise as their algebraic
 # connectivity; JSON and CSV, --jobs 1 and 2), on a corpus of degenerate
 # graphs (complete graphs, disjoint unions, isolated vertices, one and two
-# vertices; JSON and CSV, --jobs 1 and 2), and on a corpus of bad lines
+# vertices; JSON and CSV, --jobs 1 and 2), on a corpus of seeded
+# relabellings of the equal-clique two-clique graphs linked_cliques(2a, a,
+# links) and linked_cliques(2a + 1, a, links), 3 <= a <= 100, links 2 and
+# 3, whose radius the closed form leaves to an eigensolve (JSON and CSV),
+# and on a corpus of bad lines
 # read from a file and from stdin (JSON and CSV, --jobs 1, 2 and 8; at 8
 # the pool is capped at its 6 nonblank lines).  Every run reads stdin from
 # /dev/null unless its last word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
@@ -51,6 +56,7 @@ runs=(
     "laman-extremal --nmin 3 --nmax 9 --format csv"
     "family-sweep --links 2 --clique-min 3 --clique-max 12 --nmax 60"
     "family-sweep --links 3 --clique-min 4 --clique-max 9 --nmax 40"
+    "family-sweep --links 4 --clique-min 5 --clique-max 40 --nmax 200"
     "extremal --delta 6 --nmax 26"
     "extremal --delta 6 --nmax 26 --format csv"
     "extremal --delta 9 --nmax 40 --seed 5"
@@ -128,6 +134,30 @@ for jobs in 1 2; do
     runs+=("analyze $degenerate --jobs $jobs"
            "analyze $degenerate --jobs $jobs --format csv")
 done
+
+# equal cliques: linked_cliques(n, a, links) for n = 2a and 2a + 1, its
+# vertices shuffled
+equal="$work/equal-cliques.g6"
+python3 - "$repo/perfbench" > "$equal" <<'EOF'
+import random
+import sys
+from itertools import combinations
+
+sys.path.insert(0, sys.argv[1])
+from corpora import write_graph6
+
+rng = random.Random(30)
+for links in (2, 3):
+    for a in range(3, 101):
+        for n in (2 * a, 2 * a + 1):
+            edges = [e for part in (range(a), range(a, n))
+                     for e in combinations(part, 2)]
+            edges += [(j, a + j) for j in range(links)]
+            perm = list(range(n))
+            rng.shuffle(perm)
+            print(write_graph6(n, [(perm[u], perm[v]) for u, v in edges]))
+EOF
+runs+=("analyze $equal" "analyze $equal --format csv")
 
 # a good line and a blank line, then the empty graph, a short body, a
 # non-ASCII byte, a line that only str.strip empties, and a good line

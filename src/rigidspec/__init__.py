@@ -19,11 +19,9 @@ from .rigidity import (
     rigidity_verdict,
 )
 from .spectral import (
-    CharQuartic,
     complete_split_rho,
     hong_bound,
     linked_cliques_char_poly,
-    linked_cliques_quotient,
     linked_cliques_rho,
     spectral_radius,
 )

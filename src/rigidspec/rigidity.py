@@ -4,7 +4,7 @@ and inductive enumeration of canonically labelled minimally rigid graphs.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .graphcore import Graph, _member_table, _members
 
@@ -196,19 +196,20 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # label-invariant classes; a class-respecting backtracking search then
 # maximises the upper-triangle bit string, which is exactly the graph6
 # body, so the canonical form doubles as a corpus-ready graph6 line.
-# Refinement ranks one exact integer key per vertex and round, a graph at a
-# time, on neighbour lists read from a table of every mask's members that
-# is built on first use; the search reads adjacency bitmasks: bit w of
-# adj[v] is the edge vw.  The search recurses once per position, and needs
-# no node bound: its only caller labels minimally rigid graphs on at most 9
+# Refinement ranks one exact integer key per vertex and round, a child at
+# a time, and stops as soon as the child's new vertex fails the new-vertex
+# test; it reads neighbour lists from a table of every mask's members that
+# is built on first use.  The search reads adjacency bitmasks: bit w of
+# adj[v] is the edge vw.  It recurses once per position, and needs no
+# node bound: its only caller labels minimally rigid graphs on at most 9
 # vertices, and none of them takes more than 392 search nodes.
 
 
-def _stable_colours(adj: Sequence[int],
-                    lead: bool = False) -> Optional[list[int]]:
+def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
     """Stable colours of neighbourhood refinement from one colour of a
-    graph given by adjacency masks.  With lead, None as soon as the last
-    vertex is seen to fail the new-vertex test below.
+    child given by adjacency masks, or None as soon as its new vertex is
+    seen to fail the new-vertex test: the last vertex has the minimum
+    degree and the largest colour among the minimum-degree vertices.
 
     The first round ranks the degrees.  Each later round ranks the vertices
     by their colour and then by the sorted colours of their neighbours, so
@@ -225,11 +226,10 @@ def _stable_colours(adj: Sequence[int],
     table = _member_table(n)
     nbrs = [table[a] for a in adj]
     keys = [len(nb) for nb in nbrs]
-    if lead:
-        low = min(keys)
-        if keys[-1] != low:
-            return None
-        rivals = [v for v in range(n - 1) if keys[v] == low]
+    low = min(keys)
+    if keys[-1] != low:
+        return None
+    rivals = [v for v in range(n - 1) if keys[v] == low]
     top = n ** n
     colour = [0] * n
     classes = 1
@@ -245,7 +245,7 @@ def _stable_colours(adj: Sequence[int],
         weight = [n ** (n - 1 - c) for c in colour]
         keys = [c * top - sum(map(weight.__getitem__, nb))
                 for c, nb in zip(colour, nbrs)]
-        if lead and any(keys[v] > keys[-1] for v in rivals):
+        if any(keys[v] > keys[-1] for v in rivals):
             return None
 
 
@@ -430,18 +430,6 @@ def _extensions(adj: Sequence[int],
                 yield child
 
 
-def _leading_colours(children: Iterable[list[int]]
-                     ) -> Iterator[tuple[list[int], list[int]]]:
-    """(child, stable colours) for each child, given by adjacency masks,
-    whose new vertex passes the new-vertex test: the last vertex has the
-    minimum degree and the largest colour among the minimum-degree
-    vertices.  Children are read and refined one at a time."""
-    for child in children:
-        colour = _stable_colours(child, lead=True)
-        if colour is not None:
-            yield child, colour
-
-
 def minimally_rigid_levels(nmin: int,
                            nmax: int) -> Iterator[tuple[int, list[Graph]]]:
     """Yield (n, graphs) for nmin <= n <= nmax: one canonically labelled
@@ -462,7 +450,8 @@ def minimally_rigid_levels(nmin: int,
             # the canonical rows place the colour classes in colour order,
             # so the graph they give has the child's colours, sorted
             found = {_canonical_rows(child, colour): sorted(colour)
-                     for child, colour in _leading_colours(children)}
+                     for child in children
+                     if (colour := _leading_colours(child)) is not None}
             # at one order, rows order is graph6 order: both compare the
             # upper-triangle bit strings column by column
             level = [(_graph_from_rows(rows), found[rows])

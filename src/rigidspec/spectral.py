@@ -4,7 +4,7 @@ spectral quantities of the two-clique and hub-pair extremal families.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphcore import Graph, _member_table, linked_cliques
 
@@ -63,80 +63,47 @@ def _perron_brackets(adj: Sequence[int]) -> Iterator[tuple[float, float]]:
 # -- two-clique family: closed forms --------------------------------------
 
 
-class CharQuartic(NamedTuple):
-    """Monic integer quartic vanishing at the four quotient eigenvalues of
-    the two-clique family: the exact quotient characteristic polynomial
-    whenever all four classes are nonempty."""
-
-    coefficients: tuple[int, int, int, int, int]
-
-    def evaluate(self, x: int | float) -> int | float:
-        """The quartic at x by Horner's rule: exact for an int x, a float
-        for a float x."""
-        acc = 0
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-
-def linked_cliques_quotient(n: int, a: int, links: int):
-    """4x4 quotient over the classes (matched-in-small, rest-of-small,
-    matched-in-large, rest-of-large); equitable whenever all are nonempty."""
-    import numpy as np
-
+def linked_cliques_char_poly(n: int, a: int, links: int
+                             ) -> tuple[int, int, int, int, int]:
+    """Coefficients, leading first, of the exact integer characteristic
+    polynomial of the family's 4x4 quotient over the classes
+    (matched-in-small, rest-of-small, matched-in-large, rest-of-large),
+    which is equitable whenever all four are nonempty."""
     i = links
-    return np.array(
-        [
-            [i - 1, a - i, 1, 0],
-            [i, a - i - 1, 0, 0],
-            [1, 0, i - 1, n - a - i],
-            [0, 0, i, n - a - i - 1],
-        ],
-        dtype=float,
-    )
-
-
-def linked_cliques_char_poly(n: int, a: int, links: int) -> CharQuartic:
-    """Exact integer characteristic polynomial of the 4x4 quotient."""
-    i = links
-    coeffs = (
+    return (
         1,
         4 - n,
         a * n - a * a - 3 * n + 5,
         2 * (a * n - a * a - i - n + 1),
         -i * i + i * n - 2 * i,
     )
-    return CharQuartic(coeffs)
 
 
 def linked_cliques_rho(n: int, a: int, links: int) -> float:
     """Spectral radius of the two-clique family.
 
-    Uses the largest quartic root via Newton iteration safeguarded by
-    bisection inside the bracket (n - min(a, n-a) - 2, n - 1]; falls back
-    to an eigensolve of the 4x4 quotient, or of the graph itself when a
-    quotient class is empty.
+    The largest quartic root, by Newton iteration safeguarded by bisection
+    inside the bracket (n - min(a, n-a) - 2, n - 1].  Falls back to an
+    eigensolve of the graph itself when a quotient class is empty or the
+    quartic has no sign change on the bracket, as at equal cliques.
     """
     if not 1 <= a <= n - 1:
         raise ValueError(f"clique sizes must be positive: n={n}, a={a}")
     if not 0 <= links <= min(a, n - a):
         raise ValueError(f"links out of range for n={n}, a={a}: {links}")
-    sizes = (links, a - links, links, n - a - links)
-    if links == 0 or any(s < 1 for s in sizes[1::2]):
-        return spectral_radius(linked_cliques(n, a, links))
-    poly = linked_cliques_char_poly(n, a, links)
+    _, c1, c2, c3, c4 = linked_cliques_char_poly(n, a, links)
+
+    def quartic(x: float) -> float:
+        # Horner's rule
+        return (((x + c1) * x + c2) * x + c3) * x + c4
+
     lo = float(n - min(a, n - a) - 2)
     hi = float(n - 1)
-    if not (poly.evaluate(lo) < 0.0 <= poly.evaluate(hi)):
-        import numpy as np
-
-        vals = np.linalg.eigvals(linked_cliques_quotient(n, a, links))
-        return float(vals.real.max())
-    _, c1, c2, c3, c4 = poly.coefficients
+    if not (0 < links < min(a, n - a) and quartic(lo) < 0.0 <= quartic(hi)):
+        return spectral_radius(linked_cliques(n, a, links))
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        # Horner's rule, in the float operations of poly.evaluate
-        fx = (((x + c1) * x + c2) * x + c3) * x + c4
+        fx = quartic(x)
         if fx < 0.0:
             lo = x
         else:

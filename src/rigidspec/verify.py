@@ -66,12 +66,10 @@ def _threshold(n: int, delta: int, links: int) -> Optional[float]:
     """The two-clique radius rho(linked_cliques(n, delta + 1, links)), or
     None outside the family.  Cached: a corpus holds few distinct
     (n, delta) pairs."""
-    a = delta + 1
-    if not 1 <= a <= n - 1:
+    try:
+        return linked_cliques_rho(n, delta + 1, links)
+    except ValueError:
         return None
-    if links > min(a, n - a):
-        return None
-    return linked_cliques_rho(n, a, links)
 
 
 def _isomorphic_to_family(g: Graph, links: int) -> bool:

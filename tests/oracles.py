@@ -682,6 +682,24 @@ def quotient_matrix(g: Graph,
     return QuotientMatrix(tuple(norm), entries, equitable)
 
 
+def linked_cliques_classes(n: int, a: int,
+                           links: int) -> list[range]:
+    """The classes (matched-in-small, rest-of-small, matched-in-large,
+    rest-of-large) of linked_cliques(n, a, links), whose quotient is
+    equitable whenever all four are nonempty."""
+    return [range(links), range(links, a), range(a, a + links),
+            range(a + links, n)]
+
+
+def horner(coefficients: Sequence, x):
+    """The polynomial with these coefficients, leading first, at x by
+    Horner's rule: exact for ints and Fractions."""
+    acc = 0
+    for c in coefficients:
+        acc = acc * x + c
+    return acc
+
+
 def hong_bound_function(p: int, q: int, x: float) -> float:
     """Hong's bound (x - 1)/2 + sqrt(2q - px + (1 + x)^2 / 4) as a function
     of the degree argument x, with p vertices and q edges fixed.

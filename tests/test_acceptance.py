@@ -16,10 +16,10 @@ cannot hold: both quotient matrices have trace n - 4, so both quartics
 carry the same x^3 coefficient -(n - 4) and their difference has no x^3
 term, while the squared product does.  The coefficients under test come
 from the closed form in `linked_cliques_char_poly`; the test backs them
-with det(k*I - Q), computed in exact rational arithmetic from
-`linked_cliques_quotient` at k = 0..4.  Five points fix a monic quartic,
-so the identity is checked against an oracle independent of the closed
-form.
+with det(k*I - Q), computed in exact rational arithmetic at k = 0..4 from
+the equitable quotient Q of the graph itself.  Five points fix a monic
+quartic, so the identity is checked against an oracle independent of the
+closed form.
 """
 import random
 import time
@@ -36,7 +36,6 @@ from rigidspec import (
     hong_bound,
     linked_cliques,
     linked_cliques_char_poly,
-    linked_cliques_quotient,
     linked_cliques_rho,
     minimally_rigid_levels,
     pebble_rank,
@@ -52,8 +51,11 @@ from oracles import (
     complete_graph,
     cut_size_law_holds,
     hong_bound_function,
+    horner,
+    linked_cliques_classes,
     max_clique_partition_edges,
     numeric_rank,
+    quotient_matrix,
     random_placement,
 )
 
@@ -160,8 +162,12 @@ def _exact_det(matrix):
 
 
 def _quotient_char_values(n, a, links):
-    """det(k*I - Q) for k = 0..4, Q the family's 4x4 quotient."""
-    q = linked_cliques_quotient(n, a, links)
+    """det(k*I - Q) for k = 0..4, Q the 4x4 equitable quotient of
+    linked_cliques(n, a, links)."""
+    quotient = quotient_matrix(linked_cliques(n, a, links),
+                               linked_cliques_classes(n, a, links))
+    assert quotient.equitable
+    q = quotient.entries
     size = len(q)
     return tuple(
         _exact_det([[(k if i == j else 0) - Fraction(q[i][j])
@@ -179,10 +185,10 @@ def test_criterion2_shift_identity_as_stated():
     which cannot hold: the x^3 coefficient of each quartic is
     -(trace) = -(n-4) independently of a, so the difference has no cubic
     term.  Before the shift is compared, both quartics are checked against
-    det(k*I - Q) at k = 0..4, computed exactly from
-    `linked_cliques_quotient`; five points fix a monic quartic, so the
-    coefficients are not taken on trust from their closed form.  See the
-    module docstring."""
+    det(k*I - Q) at k = 0..4, computed exactly from the graph's equitable
+    quotient Q; five points fix a monic quartic, so the coefficients are
+    not taken on trust from their closed form.  See the module
+    docstring."""
     oracle_mismatches = []
     shift_mismatches = []
     checked = 0
@@ -192,12 +198,12 @@ def test_criterion2_shift_identity_as_stated():
                 coefficients = []
                 for size in (a, a + 1):
                     poly = linked_cliques_char_poly(n, size, links)
-                    values = tuple(poly.evaluate(k) for k in range(5))
+                    values = tuple(horner(poly, k) for k in range(5))
                     dets = _quotient_char_values(n, size, links)
                     if values != dets and len(oracle_mismatches) < 3:
                         oracle_mismatches.append(
                             (links, size, n, values, dets))
-                    coefficients.append(poly.coefficients)
+                    coefficients.append(poly)
                 pa, pb = coefficients
                 c = n - 2 * a - 1
                 expected = (0, 0, c, 2 * c, 0)

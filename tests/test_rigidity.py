@@ -397,12 +397,23 @@ def test_isomorphism_agrees_with_networkx():
     assert checked_false > 0
 
 
+def _reference_leading_colours(adj):
+    """The reference stable colours of a graph given by adjacency masks
+    when its last vertex passes the new-vertex test, else None."""
+    colour = _refine_classes(adj)
+    degree = [a.bit_count() for a in adj]
+    low = min(degree)
+    if degree[-1] == low and colour[-1] == max(
+            c for c, d in zip(colour, degree) if d == low):
+        return colour
+    return None
+
+
 def _assert_labelling_matches_reference(graphs):
-    """The package's stable colours and canonical rows of graphs given by
-    adjacency masks equal the reference labelling's."""
+    """The package's canonical rows of graphs given by adjacency masks,
+    under the reference stable colours, equal the reference labelling's."""
     for masks in graphs:
-        colour = rigidity._stable_colours(masks)
-        assert colour == _refine_classes(masks)
+        colour = _refine_classes(masks)
         assert (rigidity._canonical_rows(masks, colour)
                 == reference_canonical_rows(masks, colour))
 
@@ -575,12 +586,9 @@ def test_laman_sweep_labels_few_children(monkeypatch):
     leading = rigidity._leading_colours
     refined = [0]
 
-    def counting(children):
-        def counted():
-            for child in children:
-                refined[0] += 1
-                yield child
-        return leading(counted())
+    def counting(child):
+        refined[0] += 1
+        return leading(child)
 
     monkeypatch.setattr(rigidity, "_leading_colours", counting)
     assert laman_extremal_report(3, 8)["ok"]
@@ -643,25 +651,17 @@ def _unpruned_extensions(adj):
 
 
 def test_new_vertex_test_matches_stable_colour_test():
-    # reference: refine each child alone, then test its new vertex; the
-    # children are read to their end in one pass, and a child that fails
-    # gets no colours
-    for _, graphs in minimally_rigid_levels(2, 7):
-        children = [child for g in graphs
-                    for child in _unpruned_extensions(g.adj)]
-        expected = []
-        for child in children:
-            colour = _refine_classes(child)
-            degree = [a.bit_count() for a in child]
-            low = min(degree)
-            if degree[-1] == low and colour[-1] == max(
-                    c for c, d in zip(colour, degree) if d == low):
-                expected.append((child, colour))
-            else:
-                assert rigidity._stable_colours(child, lead=True) is None
-        children = iter(children)
-        assert list(rigidity._leading_colours(children)) == expected
-        assert next(children, None) is None
+    # reference: refine each graph to its end, then test its last vertex;
+    # on every child that growth to order 8 refined before orbit pruning,
+    # and on random graphs
+    graphs = [child for _, level in minimally_rigid_levels(2, 7)
+              for g in level for child in _unpruned_extensions(g.adj)]
+    rng = random.Random(47)
+    graphs += [random_graph(rng, n, rng.random()).adj
+               for n in range(1, 16) for _ in range(20)]
+    colours = [rigidity._leading_colours(adj) for adj in graphs]
+    assert colours == [_reference_leading_colours(adj) for adj in graphs]
+    assert None in colours and colours.count(None) < len(colours)
 
 
 def test_pruning_automorphisms_are_the_whole_group():
@@ -684,8 +684,8 @@ def test_pruning_automorphisms_are_the_whole_group():
 def test_orbit_pruning_keeps_every_child_class():
     # per parent, one extension per orbit labels to the same rows as all
     def labelled(children):
-        return {reference_canonical_rows(c, colour) for c, colour
-                in rigidity._leading_colours(list(children))}
+        return {reference_canonical_rows(c, colour) for c in children
+                if (colour := rigidity._leading_colours(c)) is not None}
 
     for _, graphs in minimally_rigid_levels(2, 7):
         for g in graphs:

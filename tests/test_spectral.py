@@ -14,13 +14,13 @@ from rigidspec import (
     hong_bound,
     linked_cliques,
     linked_cliques_char_poly,
-    linked_cliques_quotient,
     linked_cliques_rho,
     minimally_rigid_levels,
     parse_graph6,
     spectral_radius,
 )
 from rigidspec.spectral import _perron_brackets, _spectra
+from rigidspec.verify import _fmt_float
 from conftest import random_graph
 from oracles import (
     algebraic_connectivity,
@@ -31,8 +31,10 @@ from oracles import (
     exceeds_spectral_radius,
     hong_bound_function,
     hong_equality_condition,
+    horner,
     is_connected,
     laplacian_matrix,
+    linked_cliques_classes,
     max_clique_partition_edges,
     quotient_matrix,
 )
@@ -167,49 +169,29 @@ def test_quotient_matrix_validation():
 def test_linked_cliques_quotient_is_equitable_and_matches():
     for n, a, links in [(16, 7, 2), (16, 7, 3), (20, 8, 2), (13, 5, 3)]:
         g = linked_cliques(n, a, links)
-        classes = [
-            range(links),
-            range(links, a),
-            range(a, a + links),
-            range(a + links, n),
-        ]
-        q = quotient_matrix(g, classes)
+        q = quotient_matrix(g, linked_cliques_classes(n, a, links))
         assert q.equitable
-        assert np.array_equal(q.entries, linked_cliques_quotient(n, a, links))
         assert abs(q.leading_eigenvalue() - spectral_radius(g)) < 1e-10
 
 
 def test_char_poly_frozen_coefficients():
     poly = linked_cliques_char_poly(16, 7, 2)
-    assert poly.coefficients == (1, -12, 20, 92, 24)
-    assert poly.evaluate(6) == 0  # 6 is an exact quotient eigenvalue
-
-
-def test_char_poly_evaluates_ints_exactly_and_floats_by_float_horner():
-    for n, a, links in [(16, 7, 2), (30, 11, 3), (200, 60, 3)]:
-        poly = linked_cliques_char_poly(n, a, links)
-        for x in (-5, 0, 3, n - 1):
-            v = poly.evaluate(x)
-            assert type(v) is int
-            assert v == sum(c * x ** (4 - k)
-                            for k, c in enumerate(poly.coefficients))
-        for x in (-2.75, -0.0, 0.5, n - 1.25, float(n)):
-            acc = 0.0
-            for c in poly.coefficients:
-                acc = acc * x + c
-            v = poly.evaluate(x)
-            assert type(v) is float and v.hex() == acc.hex()
+    assert poly == (1, -12, 20, 92, 24)
+    assert horner(poly, 6) == 0  # 6 is an exact quotient eigenvalue
 
 
 def test_char_poly_vanishes_on_quotient_spectrum():
     for n, a, links in [(16, 7, 2), (16, 7, 3), (24, 9, 2), (30, 11, 3)]:
         poly = linked_cliques_char_poly(n, a, links)
-        eigs = np.linalg.eigvals(linked_cliques_quotient(n, a, links))
+        q = quotient_matrix(linked_cliques(n, a, links),
+                            linked_cliques_classes(n, a, links))
+        assert q.equitable
+        eigs = np.linalg.eigvals(q.entries)
         scale = max(1.0, float(np.max(np.abs(eigs))) ** 4)
         for lam in eigs:
-            assert abs(poly.evaluate(float(lam.real))) <= 1e-9 * scale
+            assert abs(horner(poly, float(lam.real))) <= 1e-9 * scale
         # trace: coefficient of x^3 is -(n - 4)
-        assert poly.coefficients[1] == -(n - 4)
+        assert poly[1] == -(n - 4)
 
 
 def test_char_poly_shift_identity_exact():
@@ -219,8 +201,8 @@ def test_char_poly_shift_identity_exact():
     for links in (2, 3):
         for a in range(links + 1, 12):
             for n in range(2 * a + 2, 41):
-                pa = linked_cliques_char_poly(n, a, links).coefficients
-                pb = linked_cliques_char_poly(n, a + 1, links).coefficients
+                pa = linked_cliques_char_poly(n, a, links)
+                pb = linked_cliques_char_poly(n, a + 1, links)
                 c = n - 2 * a - 1
                 diff = tuple(y - x for x, y in zip(pa, pb))
                 assert diff == (0, 0, c, 2 * c, 0), (links, a, n)
@@ -256,6 +238,30 @@ def test_rho_degenerate_parameters_fall_back():
         linked_cliques_rho(10, 10, 0)
     with pytest.raises(ValueError):
         linked_cliques_rho(10, 4, 5)
+
+
+def test_rho_falls_back_only_at_equal_cliques():
+    # with four nonempty classes, the quartic changes sign on the bracket
+    # (n - min(a, n-a) - 2, n - 1] at every cell but a = n/2; there the
+    # radius comes from an eigensolve of the graph, which prints the digits
+    # of the quotient's leading eigenvalue
+    fallbacks = 0
+    for links in (2, 3, 4):
+        for n in range(2 * links + 2, 201):
+            for a in range(links + 1, n - links):
+                poly = linked_cliques_char_poly(n, a, links)
+                lo = float(n - min(a, n - a) - 2)
+                hi = float(n - 1)
+                bracket = horner(poly, lo) < 0.0 <= horner(poly, hi)
+                assert bracket == (2 * a != n), (n, a, links)
+                if not bracket:
+                    q = quotient_matrix(linked_cliques(n, a, links),
+                                        linked_cliques_classes(n, a, links))
+                    assert (_fmt_float(linked_cliques_rho(n, a, links))
+                            == _fmt_float(q.leading_eigenvalue())), \
+                        (n, a, links)
+                    fallbacks += 1
+    assert fallbacks == 98 + 97 + 96
 
 
 def test_rho_frozen_values():
