@@ -21,7 +21,8 @@
 # vertices; JSON and CSV, --jobs 1 and 2), on a corpus of seeded
 # relabellings of the equal-clique two-clique graphs linked_cliques(2a, a,
 # links) and linked_cliques(2a + 1, a, links), 3 <= a <= 100, links 2 and
-# 3, whose radius the closed form leaves to an eigensolve (JSON and CSV),
+# 3, whose radius at a = n/2 comes from a quadratic factor of the quartic
+# (JSON and CSV),
 # and on a corpus of bad lines
 # read from a file and from stdin (JSON and CSV, --jobs 1, 2 and 8; at 8
 # the pool is capped at its 6 nonblank lines).  Every run reads stdin from

@@ -23,7 +23,6 @@ from .spectral import (
     hong_bound,
     linked_cliques_char_poly,
     linked_cliques_rho,
-    spectral_radius,
 )
 from .verify import (
     analyze_graph,

@@ -6,17 +6,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .graphcore import Graph, _member_table, linked_cliques
-
-
-def spectral_radius(g: Graph) -> float:
-    """Largest adjacency eigenvalue (equals the radius: the matrix is
-    symmetric nonnegative)."""
-    if g.n < 1:
-        raise ValueError("spectrum needs at least 1 vertex")
-    import numpy as np
-
-    return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+from .graphcore import Graph, _member_table
 
 
 def _spectra(g: Graph) -> tuple[float, Optional[float]]:
@@ -68,7 +58,8 @@ def linked_cliques_char_poly(n: int, a: int, links: int
     """Coefficients, leading first, of the exact integer characteristic
     polynomial of the family's 4x4 quotient over the classes
     (matched-in-small, rest-of-small, matched-in-large, rest-of-large),
-    which is equitable whenever all four are nonempty."""
+    which is equitable whenever all four are nonempty; with one class
+    empty it is (x + 1) times the characteristic cubic of the other three."""
     i = links
     return (
         1,
@@ -83,14 +74,19 @@ def linked_cliques_rho(n: int, a: int, links: int) -> float:
     """Spectral radius of the two-clique family.
 
     The largest quartic root, by Newton iteration safeguarded by bisection
-    inside the bracket (n - min(a, n-a) - 2, n - 1].  Falls back to an
-    eigensolve of the graph itself when a quotient class is empty or the
-    quartic has no sign change on the bracket, as at equal cliques.
+    inside the bracket (n - min(a, n-a) - 2, n - 1].  Where that fails,
+    the quartic's factors give the root: max(a, n-a) - 1 with no links,
+    the larger root of x^2 - (a-1)x - links at equal cliques, else Newton
+    from n - 1 down, which falls monotonically onto the largest (real) root.
     """
     if not 1 <= a <= n - 1:
         raise ValueError(f"clique sizes must be positive: n={n}, a={a}")
     if not 0 <= links <= min(a, n - a):
         raise ValueError(f"links out of range for n={n}, a={a}: {links}")
+    if links == 0:
+        return float(max(a, n - a) - 1)
+    if 2 * a == n:
+        return 0.5 * (a - 1 + math.sqrt((a - 1) ** 2 + 4 * links))
     _, c1, c2, c3, c4 = linked_cliques_char_poly(n, a, links)
 
     def quartic(x: float) -> float:
@@ -99,8 +95,12 @@ def linked_cliques_rho(n: int, a: int, links: int) -> float:
 
     lo = float(n - min(a, n - a) - 2)
     hi = float(n - 1)
-    if not (0 < links < min(a, n - a) and quartic(lo) < 0.0 <= quartic(hi)):
-        return spectral_radius(linked_cliques(n, a, links))
+    if not (links < min(a, n - a) and quartic(lo) < 0.0 <= quartic(hi)):
+        x = hi
+        while (step := x - quartic(x) / (
+                ((4.0 * x + 3 * c1) * x + 2 * c2) * x + c3)) < x:
+            x = step
+        return x
     x = 0.5 * (lo + hi)
     for _ in range(200):
         fx = quartic(x)

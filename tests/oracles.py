@@ -592,6 +592,14 @@ def canonical_form(g: Graph) -> str:
 # -- one eigensolve per matrix --------------------------------------------
 
 
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue (equals the radius: the matrix is
+    symmetric nonnegative), from an eigensolve of the adjacency matrix."""
+    if g.n < 1:
+        raise ValueError("spectrum needs at least 1 vertex")
+    return float(np.linalg.eigvalsh(g.adjacency_matrix())[-1])
+
+
 def laplacian_matrix(g: Graph) -> np.ndarray:
     """The Laplacian D - A as a float matrix."""
     a = g.adjacency_matrix()

@@ -39,7 +39,6 @@ from rigidspec import (
     linked_cliques_rho,
     minimally_rigid_levels,
     pebble_rank,
-    spectral_radius,
 )
 from conftest import graph_from_mask, iso_class_representatives, vertex_pairs
 from oracles import (
@@ -57,6 +56,7 @@ from oracles import (
     numeric_rank,
     quotient_matrix,
     random_placement,
+    spectral_radius,
 )
 
 GRID = [

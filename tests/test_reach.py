@@ -51,7 +51,7 @@ def test_every_function_runs_on_a_cli_path(tmp_path):
     good, bad = tmp_path / "good.g6", tmp_path / "bad.g6"
     good.write_text("".join(write_graph6(g) + "\n" for g in [
         Graph(1), Graph(2, [(0, 1)]), Graph(4, [(0, 1), (2, 3)]),
-        complete_split_graph(6),  # its threshold quartic has no bracket
+        complete_split_graph(6),  # its threshold has equal cliques
         linked_cliques(16, 7, 2), linked_cliques(16, 7, 3), TRAP]))
     # K2, then an empty graph, a short body and a non-ASCII byte
     bad.write_bytes(b"A_\n?\nA_x\nB\xe9\n")

@@ -15,7 +15,6 @@ from rigidspec import (
     minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
-    spectral_radius,
     write_graph6,
 )
 from rigidspec import rigidity
@@ -44,6 +43,7 @@ from oracles import (
     reference_canonical_rows,
     reference_pebble_game,
     reference_refinement_rounds,
+    spectral_radius,
     verdict_of,
     with_edge,
     with_vertex,

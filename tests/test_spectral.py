@@ -2,6 +2,8 @@
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from rigidspec import (
     linked_cliques_rho,
     minimally_rigid_levels,
     parse_graph6,
-    spectral_radius,
 )
 from rigidspec.spectral import _perron_brackets, _spectra
 from rigidspec.verify import _fmt_float
@@ -37,6 +38,7 @@ from oracles import (
     linked_cliques_classes,
     max_clique_partition_edges,
     quotient_matrix,
+    spectral_radius,
 )
 
 
@@ -226,42 +228,112 @@ def test_rho_symmetric_in_clique_swap():
         ) < 1e-10
 
 
-def test_rho_degenerate_parameters_fall_back():
-    # links == small clique size empties one quotient class
-    for n, a in [(10, 3), (12, 4)]:
-        r = linked_cliques_rho(n, a, a)
-        e = spectral_radius(linked_cliques(n, a, a))
-        assert abs(r - e) <= 1e-8
-    # no links: disconnected pair of cliques
-    assert abs(linked_cliques_rho(12, 5, 0) - 6.0) < 1e-10
+def test_rho_matches_eigensolver_on_every_small_cell():
+    # every cell with n <= 40: no links, an empty quotient class, equal
+    # cliques, and links = 1 with |n - 2a| = 1, where the quartic vanishes
+    # at the bracket's lower end, beside the bracketed cells
+    for n in range(2, 41):
+        for a in range(1, n):
+            for links in range(min(a, n - a) + 1):
+                r = linked_cliques_rho(n, a, links)
+                e = spectral_radius(linked_cliques(n, a, links))
+                assert abs(r - e) <= 1e-9, (n, a, links)
+    assert linked_cliques_rho(12, 5, 0) == 6.0
     with pytest.raises(ValueError):
         linked_cliques_rho(10, 10, 0)
     with pytest.raises(ValueError):
         linked_cliques_rho(10, 4, 5)
 
 
-def test_rho_falls_back_only_at_equal_cliques():
-    # with four nonempty classes, the quartic changes sign on the bracket
-    # (n - min(a, n-a) - 2, n - 1] at every cell but a = n/2; there the
-    # radius comes from an eigensolve of the graph, which prints the digits
-    # of the quotient's leading eigenvalue
-    fallbacks = 0
-    for links in (2, 3, 4):
-        for n in range(2 * links + 2, 201):
-            for a in range(links + 1, n - links):
+def _poly_mul(p, q):
+    """The product of two integer polynomials, coefficients leading first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _char_poly_3(m):
+    """det(xI - m) of an integer 3x3 matrix, coefficients leading first."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    minors = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (1, -(a + e + i), minors, -det)
+
+
+def test_char_poly_factors_where_the_bracket_fails():
+    # exact integer identities over every cell with n <= 60: the factors
+    # that linked_cliques_rho reads its radius from, and the quartic at the
+    # bracket's lower end n - s - 2, which is negative, so the bracket has
+    # a strict sign change, unless links = 1 and d = 0
+    for n in range(2, 61):
+        for a in range(1, n):
+            s = min(a, n - a)
+            for links in range(s + 1):
                 poly = linked_cliques_char_poly(n, a, links)
-                lo = float(n - min(a, n - a) - 2)
-                hi = float(n - 1)
-                bracket = horner(poly, lo) < 0.0 <= horner(poly, hi)
-                assert bracket == (2 * a != n), (n, a, links)
-                if not bracket:
-                    q = quotient_matrix(linked_cliques(n, a, links),
-                                        linked_cliques_classes(n, a, links))
-                    assert (_fmt_float(linked_cliques_rho(n, a, links))
-                            == _fmt_float(q.leading_eigenvalue())), \
-                        (n, a, links)
-                    fallbacks += 1
-    assert fallbacks == 98 + 97 + 96
+                if links == 0:
+                    assert poly == _poly_mul(
+                        _poly_mul((1, 0), (1, 2)),
+                        _poly_mul((1, 1 - a), (1, a + 1 - n))), (n, a)
+                if 2 * a == n:
+                    assert poly == _poly_mul(
+                        (1, 1 - a, -links),
+                        (1, 3 - a, links - 2 * a + 2)), (n, a, links)
+                    continue
+                if links == s:
+                    # the class rest-of-small is empty
+                    m = ((s - 1, 1, 0), (1, s - 1, n - 2 * s),
+                         (0, s, n - 2 * s - 1))
+                    assert poly == _poly_mul((1, 1), _char_poly_3(m)), \
+                        (n, a)
+                d = n - 2 * s - 1
+                assert horner(poly, n - s - 2) == (
+                    -2 * s * d * d - d ** 3 - d * (s * s + links - 1)
+                    - links * (links - 1)), (n, a, links)
+
+
+def _reachable_factor_cells(nmax):
+    """The cells (n, a, links) with n < nmax whose radius linked_cliques_rho
+    reads off the quartic's factors and that `analyze` can ask for: links
+    2 or 3, and equal cliques or a clique of `links` vertices."""
+    return sorted({(n, a, links) for links in (2, 3) for n in range(3, nmax)
+                   for a in range(links, n - links + 1)
+                   if 2 * a == n or a == links or n - a == links})
+
+
+def test_rho_factor_routes_print_eigensolver_digits():
+    cells = _reachable_factor_cells(230)
+    assert len(cells) == 1121
+    for n, a, links in cells:
+        assert (_fmt_float(linked_cliques_rho(n, a, links))
+                == _fmt_float(spectral_radius(linked_cliques(n, a, links)))), \
+            (n, a, links)
+
+
+def _taylor(poly, x0):
+    """The coefficients of p(x0 + t) in t, leading first, by repeated
+    synthetic division: exact for Fractions."""
+    c = list(poly)
+    for k in range(len(c) - 1):
+        for i in range(1, len(c) - k):
+            c[i] += c[i - 1] * x0
+    return c
+
+
+def test_rho_factor_routes_round_correctly():
+    # the printed value, plus or minus half a unit in its 12th digit,
+    # brackets a sign change of the quartic in exact arithmetic, and above
+    # the bracket every Taylor coefficient is positive, so no root lies
+    # there (Descartes' rule of signs): the print is the largest root
+    # correctly rounded
+    for n, a, links in _reachable_factor_cells(1001):
+        poly = linked_cliques_char_poly(n, a, links)
+        text = _fmt_float(linked_cliques_rho(n, a, links))
+        half = Fraction(10) ** (Decimal(text).adjusted() - 11) / 2
+        mid = Fraction(text)
+        assert horner(poly, mid - half) < 0, (n, a, links)
+        assert min(_taylor(poly, mid + half)) > 0, (n, a, links)
 
 
 def test_rho_frozen_values():

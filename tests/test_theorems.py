@@ -24,12 +24,11 @@ from rigidspec import (
     hong_bound,
     linked_cliques,
     rigidity_verdict,
-    spectral_radius,
     vertex_connectivity,
 )
 from rigidspec.rigidity import _run_pebble_game
 from conftest import random_graph, relabelled
-from oracles import algebraic_connectivity
+from oracles import algebraic_connectivity, spectral_radius
 
 TOL = 1e-9
 

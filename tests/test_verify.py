@@ -31,7 +31,6 @@ from rigidspec import (
     linked_cliques,
     minimally_rigid_levels,
     report_is_consistent,
-    spectral_radius,
     write_csv,
     write_graph6,
 )
@@ -51,6 +50,7 @@ from oracles import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    spectral_radius,
     with_edge,
     without_edge,
 )
