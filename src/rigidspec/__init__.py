@@ -14,7 +14,6 @@ from .oracle import exact_rank, packing_violation_search
 from .rigidity import (
     PebbleGame,
     RigidityVerdict,
-    minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
 )

@@ -1,5 +1,5 @@
 """Combinatorial planar rigidity: pebble-game rank, the rigidity verdict,
-and inductive enumeration of canonically labelled minimally rigid graphs.
+and inductive enumeration of the minimally rigid graphs, one per class.
 """
 from __future__ import annotations
 
@@ -201,15 +201,18 @@ def rigidity_verdict(g: Graph, kappa: int) -> RigidityVerdict:
 # test; it reads neighbour lists from a table of every mask's members that
 # is built on first use.  The search reads adjacency bitmasks: bit w of
 # adj[v] is the edge vw.  It recurses once per position, and needs no
-# node bound: its only caller labels minimally rigid graphs on at most 9
-# vertices, and none of them takes more than 392 search nodes.
+# node bound: its only callers label minimally rigid graphs on at most 9
+# vertices whose refinement keys collide, and the printed radius maximiser,
+# and none of them takes more than 392 search nodes.
 
 
-def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
+def _leading_colours(adj: Sequence[int]
+                     ) -> Optional[tuple[list[int], tuple[int, ...]]]:
     """Stable colours of neighbourhood refinement from one colour of a
-    child given by adjacency masks, or None as soon as its new vertex is
-    seen to fail the new-vertex test: the last vertex has the minimum
-    degree and the largest colour among the minimum-degree vertices.
+    child given by adjacency masks, with the sorted integer keys of its
+    last round, or None as soon as its new vertex is seen to fail the
+    new-vertex test: the last vertex has the minimum degree and the
+    largest colour among the minimum-degree vertices.
 
     The first round ranks the degrees.  Each later round ranks the vertices
     by their colour and then by the sorted colours of their neighbours, so
@@ -220,7 +223,9 @@ def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
     colours c ranks the vertices the same way: each count is below n, and
     the sum below n**n.  The order only refines, so refinement ends at a
     round that adds no class or leaves single vertices, and a vertex whose
-    key exceeds the last vertex's outranks it in every later round.
+    key exceeds the last vertex's outranks it in every later round.  The
+    keys are exact and the colours their ranks, so relabelling the graph
+    permutes both and leaves the sorted keys as they are.
     """
     n = len(adj)
     table = _member_table(n)
@@ -236,17 +241,18 @@ def _leading_colours(adj: Sequence[int]) -> Optional[list[int]]:
     while True:
         distinct = sorted(set(keys))
         if len(distinct) == classes:
-            return colour
+            break
         rank = {k: i for i, k in enumerate(distinct)}
         colour = [rank[k] for k in keys]
         classes = len(distinct)
         if classes == n:
-            return colour
+            break
         weight = [n ** (n - 1 - c) for c in colour]
         keys = [c * top - sum(map(weight.__getitem__, nb))
                 for c, nb in zip(colour, nbrs)]
         if any(keys[v] > keys[-1] for v in rivals):
             return None
+    return colour, tuple(sorted(keys))
 
 
 def _canonical_rows(adj: Sequence[int],
@@ -333,7 +339,7 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
 #
 # Each level is grown from the previous one by 0-extensions (a new vertex x
 # joined to two vertices) and 1-extensions (an edge uv split by x, which is
-# also joined to a third vertex w), and a child is labelled only when x
+# also joined to a third vertex w), and a child is kept only when x
 # passes an isomorphism-invariant test: deg(x) is the minimum degree, and
 # x's refinement colour is the largest among the minimum-degree vertices.
 # This is the invariant half of McKay's canonical augmentation (1998,
@@ -350,9 +356,10 @@ def _graph_from_rows(rows: Sequence[int]) -> Graph:
 #   level's representative is a copy of G in which x plays y's role.
 #   Colours are label-invariant, so x passes the test in that copy, and
 #   _extensions drops only children that would fail it.
-# - Labelling is exact, so the set of canonical rows still deduplicates the
-#   level, and every level holds the same canonical graphs as unfiltered
-#   growth would.
+# - The sorted keys of the last refinement round are label-invariant, so
+#   children whose keys differ are not isomorphic.  Labelling is exact, so
+#   it splits each group of children with equal keys into its classes, and
+#   every level holds one graph per class that unfiltered growth reaches.
 #
 # The other half of canonical augmentation prunes by the parent's
 # automorphisms.  An automorphism s of the parent P maps the extension at
@@ -430,31 +437,28 @@ def _extensions(adj: Sequence[int],
                 yield child
 
 
-def minimally_rigid_levels(nmin: int,
-                           nmax: int) -> Iterator[tuple[int, list[Graph]]]:
-    """Yield (n, graphs) for nmin <= n <= nmax: one canonically labelled
-    graph per class of minimally rigid graphs on n vertices, graph6 sorted.
+def _minimally_rigid_levels(nmin: int, nmax: int) -> Iterator[
+        tuple[int, list[tuple[list[int], list[int]]]]]:
+    """Yield (n, level) for nmin <= n <= nmax, 2 <= nmin: one graph per
+    class of minimally rigid graphs on n vertices, as its adjacency masks
+    and stable colours in the labelling it was grown in.
 
     Grown once from a single edge by degree-2 additions and edge splits,
-    one per orbit of each parent's automorphisms, labelling only the
-    children whose new vertex passes the test above.  Practical for n <= 9.
+    one per orbit of each parent's automorphisms, keeping the children
+    whose new vertex passes the test above, and labelling only those whose
+    refinement keys another child shares.  Practical for n <= 9.
     """
-    if not 2 <= nmin <= nmax <= 9:
-        raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
-    # each graph of a level with its stable colours
-    level = [(Graph(2, [(0, 1)]), [0, 0])]
+    level = [([2, 1], [0, 0])]
     for n in range(2, nmax + 1):
         if n > 2:
-            children = (child for g, colour in level
-                        for child in _extensions(g.adj, colour))
-            # the canonical rows place the colour classes in colour order,
-            # so the graph they give has the child's colours, sorted
-            found = {_canonical_rows(child, colour): sorted(colour)
-                     for child in children
-                     if (colour := _leading_colours(child)) is not None}
-            # at one order, rows order is graph6 order: both compare the
-            # upper-triangle bit strings column by column
-            level = [(_graph_from_rows(rows), found[rows])
-                     for rows in sorted(found)]
+            groups: dict[tuple[int, ...], list] = {}
+            for adj, colour in level:
+                for child in _extensions(adj, colour):
+                    if (found := _leading_colours(child)) is not None:
+                        groups.setdefault(found[1], []).append(
+                            (child, found[0]))
+            level = [c for group in groups.values() for c in (
+                group if len(group) == 1 else
+                {_canonical_rows(*c): c for c in group}.values())]
         if n >= nmin:
-            yield n, [g for g, _ in level]
+            yield n, level

@@ -38,8 +38,8 @@ def _perron_brackets(adj: Sequence[int]) -> Iterator[tuple[float, float]]:
     table = _member_table(len(adj))
     nbrs = [table[a] for a in adj]
     x = [1] * len(adj)
+    y = [a.bit_count() + 1 for a in adj]
     while True:
-        y = [xv + sum(map(x.__getitem__, nb)) for xv, nb in zip(x, nbrs)]
         ratios = [a / b for a, b in zip(y, x)]
         lo, hi = min(ratios), max(ratios)
         if lo == hi:
@@ -47,7 +47,8 @@ def _perron_brackets(adj: Sequence[int]) -> Iterator[tuple[float, float]]:
             return
         yield (math.nextafter(lo, -math.inf) - 1.0,
                math.nextafter(hi, math.inf) - 1.0)
-        x = y
+        x, y = y, [yv + sum(map(y.__getitem__, nb))
+                   for yv, nb in zip(y, nbrs)]
 
 
 # -- two-clique family: closed forms --------------------------------------

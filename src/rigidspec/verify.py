@@ -26,7 +26,9 @@ from .graphcore import (
 from .oracle import exact_rank, packing_violation_search
 from .rigidity import (
     RigidityVerdict,
-    minimally_rigid_levels,
+    _canonical_rows,
+    _graph_from_rows,
+    _minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
 )
@@ -302,35 +304,39 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
         raise ValueError(f"need 3 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
     rows = []
     ok = True
-    for n, graphs in minimally_rigid_levels(nmin, nmax):
+    for n, level in _minimally_rigid_levels(nmin, nmax):
         # Perron brackets: the highest first one, at the maximum degree,
         # converges first; a bracket 2 * REPORT_TOL below a radius holds
         # neither the maximum nor a radius within REPORT_TOL of it
-        top = max(range(len(graphs)), key=lambda i: max(graphs[i].degrees()))
+        top = max(range(len(level)),
+                  key=lambda i: max(map(int.bit_count, level[i][0])))
         rhos = {}
         floor = -math.inf
-        for i in [top, *range(top), *range(top + 1, len(graphs))]:
-            for lo, hi in _perron_brackets(graphs[i].adj):
+        for i in [top, *range(top), *range(top + 1, len(level))]:
+            for lo, hi in _perron_brackets(level[i][0]):
                 if hi < floor:
                     break
             else:
                 rhos[i] = lo
                 floor = max(floor, lo - 2 * REPORT_TOL)
-        best = max(sorted(rhos), key=rhos.__getitem__)
+        peak = max(rhos.values())
+        # only the maximisers are labelled; at one order, rows order is
+        # graph6 order, as both compare the upper-triangle bit strings
+        best = _graph_from_rows(min(_canonical_rows(*level[i])
+                                    for i, r in rhos.items() if r == peak))
         expected = complete_split_rho(n)
-        near = [i for i, r in rhos.items() if r > rhos[best] - REPORT_TOL]
-        unique = len(near) == 1
-        matches = _is_hub_pair(graphs[best])
-        closed_ok = abs(rhos[best] - expected) <= REPORT_TOL
+        unique = sum(r > peak - REPORT_TOL for r in rhos.values()) == 1
+        matches = _is_hub_pair(best)
+        closed_ok = abs(peak - expected) <= REPORT_TOL
         row_ok = unique and matches and closed_ok
         ok = ok and row_ok
         rows.append(
             {
                 "n": n,
-                "count": len(graphs),
-                "max_rho": rhos[best],
+                "count": len(level),
+                "max_rho": peak,
                 "expected_rho": expected,
-                "argmax_graph6": write_graph6(graphs[best]),
+                "argmax_graph6": write_graph6(best),
                 "argmax_is_hub_pair": matches,
                 "unique_argmax": unique,
                 "ok": row_ok,

@@ -16,6 +16,7 @@ import numpy as np
 
 from rigidspec import (Graph, PebbleGame, RigidityVerdict, rigidity_verdict,
                        vertex_connectivity, write_graph6)
+from rigidspec import rigidity
 from rigidspec.graphcore import GRAPH6_HEADER, Graph6Error, _g6_parse_n, _members
 
 Edge = tuple[int, int]
@@ -587,6 +588,20 @@ def canonical_graph(g: Graph) -> Graph:
 def canonical_form(g: Graph) -> str:
     """graph6 line of the canonical relabelling; equal iff isomorphic."""
     return write_graph6(canonical_graph(g))
+
+
+def minimally_rigid_levels(nmin: int,
+                           nmax: int) -> Iterator[tuple[int, list[Graph]]]:
+    """Yield (n, graphs) for nmin <= n <= nmax: one canonically labelled
+    graph per class of minimally rigid graphs on n vertices, graph6 sorted,
+    from the package's growth with every graph labelled by the package's
+    labelling.  Practical for n <= 9."""
+    if not 2 <= nmin <= nmax <= 9:
+        raise ValueError(f"need 2 <= nmin <= nmax <= 9, got {(nmin, nmax)}")
+    for n, level in rigidity._minimally_rigid_levels(nmin, nmax):
+        # at one order, rows order is graph6 order
+        yield n, [rigidity._graph_from_rows(rows) for rows in sorted(
+            rigidity._canonical_rows(adj, colour) for adj, colour in level)]
 
 
 # -- one eigensolve per matrix --------------------------------------------

@@ -37,7 +37,6 @@ from rigidspec import (
     linked_cliques,
     linked_cliques_char_poly,
     linked_cliques_rho,
-    minimally_rigid_levels,
     pebble_rank,
 )
 from conftest import graph_from_mask, iso_class_representatives, vertex_pairs
@@ -53,6 +52,7 @@ from oracles import (
     horner,
     linked_cliques_classes,
     max_clique_partition_edges,
+    minimally_rigid_levels,
     numeric_rank,
     quotient_matrix,
     random_placement,

@@ -12,12 +12,11 @@ from rigidspec import (
     complete_split_rho,
     laman_extremal_report,
     linked_cliques,
-    minimally_rigid_levels,
     pebble_rank,
     rigidity_verdict,
     write_graph6,
 )
-from rigidspec import rigidity
+from rigidspec import rigidity, verify
 from rigidspec.graphcore import _members
 from rigidspec.rigidity import _run_pebble_game
 from conftest import (
@@ -38,6 +37,7 @@ from oracles import (
     canonical_graph,
     complete_graph,
     cycle_graph,
+    minimally_rigid_levels,
     numeric_rank,
     random_placement,
     reference_canonical_rows,
@@ -554,46 +554,43 @@ def test_levels_match_enumeration_per_order():
             list(minimally_rigid_levels(nmin, nmax))
 
 
-def _count_labellings(monkeypatch):
-    """Count the enumeration's canonical labellings."""
-    labelled = rigidity._canonical_rows
+def _count_calls(monkeypatch, name, *modules):
+    """Count the calls of rigidity's function `name` made through the
+    given modules' bindings of it."""
+    fn = getattr(rigidity, name)
     calls = [0]
 
-    def counting(adj, colour):
+    def counting(*args):
         calls[0] += 1
-        return labelled(adj, colour)
+        return fn(*args)
 
-    monkeypatch.setattr(rigidity, "_canonical_rows", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_laman_sweep_grows_each_level_once(monkeypatch):
-    calls = _count_labellings(monkeypatch)
-    next(minimally_rigid_levels(7, 7))
-    alone, calls[0] = calls[0], 0
+    refined = _count_calls(monkeypatch, "_leading_colours", rigidity)
+    next(rigidity._minimally_rigid_levels(7, 7))
+    alone, refined[0] = refined[0], 0
     assert alone > 0
     rep = laman_extremal_report(3, 7)
-    assert calls[0] == alone
+    assert refined[0] == alone
     assert rep["rows"] == [laman_extremal_report(n, n)["rows"][0]
                            for n in range(3, 8)]
 
 
 def test_laman_sweep_labels_few_children(monkeypatch):
-    # growth to order 8 refines 1 359 children and labels 718 of them;
-    # before orbit pruning it refined 2 212 and labelled 1 112, and
-    # unfiltered growth labels all 6 099 children of the levels below 8
-    labelled = _count_labellings(monkeypatch)
-    leading = rigidity._leading_colours
-    refined = [0]
-
-    def counting(child):
-        refined[0] += 1
-        return leading(child)
-
-    monkeypatch.setattr(rigidity, "_leading_colours", counting)
+    # growth to order 8 refines 1 359 children and labels only those that
+    # share their refinement keys with another child of their level, 144,
+    # and then the 6 printed maximisers; 718 children pass the new-vertex
+    # test, and unfiltered growth would label all 6 099 children of the
+    # levels below 8
+    labelled = _count_calls(monkeypatch, "_canonical_rows", rigidity, verify)
+    refined = _count_calls(monkeypatch, "_leading_colours", rigidity)
     assert laman_extremal_report(3, 8)["ok"]
-    assert 0 < labelled[0] <= 720
-    assert 0 < refined[0] <= 1360
+    assert 0 < labelled[0] <= 160
+    assert refined[0] == 1359
 
 
 def _assert_rounds_refine(adj):
@@ -617,9 +614,8 @@ def test_each_refinement_round_refines_the_last():
 
 
 def test_level_graphs_have_sorted_stable_colours():
-    # growth passes each child's sorted colours on as the colours of the
-    # graph its canonical rows give: the same multiset, so equal when the
-    # graph's own colours run in vertex order
+    # canonical rows place the colour classes in colour order, so the
+    # graph they give has its own stable colours in vertex order
     for _, graphs in minimally_rigid_levels(2, 8):
         for g in graphs:
             colour = _refine_classes(g.adj)
@@ -659,7 +655,8 @@ def test_new_vertex_test_matches_stable_colour_test():
     rng = random.Random(47)
     graphs += [random_graph(rng, n, rng.random()).adj
                for n in range(1, 16) for _ in range(20)]
-    colours = [rigidity._leading_colours(adj) for adj in graphs]
+    colours = [None if (found := rigidity._leading_colours(adj)) is None
+               else found[0] for adj in graphs]
     assert colours == [_reference_leading_colours(adj) for adj in graphs]
     assert None in colours and colours.count(None) < len(colours)
 
@@ -684,13 +681,45 @@ def test_pruning_automorphisms_are_the_whole_group():
 def test_orbit_pruning_keeps_every_child_class():
     # per parent, one extension per orbit labels to the same rows as all
     def labelled(children):
-        return {reference_canonical_rows(c, colour) for c in children
-                if (colour := rigidity._leading_colours(c)) is not None}
+        return {reference_canonical_rows(c, found[0]) for c in children
+                if (found := rigidity._leading_colours(c)) is not None}
 
     for _, graphs in minimally_rigid_levels(2, 7):
         for g in graphs:
             pruned = rigidity._extensions(g.adj, _refine_classes(g.adj))
             assert labelled(pruned) == labelled(_unpruned_extensions(g.adj))
+
+
+def _relabelled(adj, perm):
+    """Adjacency masks of the graph with each vertex v renamed perm[v]."""
+    out = [0] * len(adj)
+    for v, a in enumerate(adj):
+        out[perm[v]] = sum(1 << perm[u] for u in _members(a))
+    return out
+
+
+def test_refinement_keys_are_label_invariant():
+    # growth groups a level's children by these keys, so isomorphic
+    # children must share them: relabellings that keep the new vertex last
+    # give the same keys and the same colours, permuted
+    rng = random.Random(53)
+    kept = 0
+    for _, graphs in minimally_rigid_levels(2, 7):
+        for g in graphs:
+            for child in _unpruned_extensions(g.adj):
+                found = rigidity._leading_colours(child)
+                n = len(child)
+                for _ in range(3):
+                    perm = rng.sample(range(n - 1), n - 1) + [n - 1]
+                    got = rigidity._leading_colours(_relabelled(child, perm))
+                    if found is None:
+                        assert got is None
+                        continue
+                    colour, key = found
+                    assert got[1] == key
+                    assert [got[0][p] for p in perm] == colour
+                    kept += 1
+    assert kept > 0
 
 
 def _all_extensions(g):
@@ -713,6 +742,29 @@ def test_levels_match_unfiltered_growth():
     got = {n: [write_graph6(g) for g in graphs]
            for n, graphs in minimally_rigid_levels(3, 8)}
     assert got == expected
+
+
+def test_grown_levels_hold_each_class_once():
+    # reference: every 0- and 1-extension of the level below, labelled by
+    # the reference labelling; each grown graph carries its own stable
+    # colours, and no two fall in one class
+    expected = None
+    for n, level in rigidity._minimally_rigid_levels(2, 8):
+        classes = []
+        for adj, colour in level:
+            assert colour == _refine_classes(adj)
+            classes.append(reference_canonical_rows(adj, colour))
+        assert len(set(classes)) == len(classes)
+        if expected is not None:
+            assert set(classes) == expected
+            assert len(classes) == KNOWN_CLASS_COUNTS[n]
+        if n == 8:
+            break
+        parents = [Graph(n, [(u, v) for u in range(n)
+                             for v in _members(adj[u]) if u < v])
+                   for adj, _ in level]
+        expected = {reference_canonical_rows(h.adj, _refine_classes(h.adj))
+                    for g in parents for h in _all_extensions(g)}
 
 
 def _delete_vertex(g, y):

@@ -29,7 +29,6 @@ from rigidspec import (
     json_stable,
     laman_extremal_report,
     linked_cliques,
-    minimally_rigid_levels,
     report_is_consistent,
     write_csv,
     write_graph6,
@@ -50,6 +49,7 @@ from oracles import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    minimally_rigid_levels,
     spectral_radius,
     with_edge,
     without_edge,
