@@ -25,7 +25,7 @@
 # (JSON and CSV),
 # and on a corpus of bad lines
 # read from a file and from stdin (JSON and CSV, --jobs 1, 2 and 8; at 8
-# the pool is capped at its 6 nonblank lines).  Every run reads stdin from
+# the pool is capped at its 6 nonblank lines and at the CPU count).  Every run reads stdin from
 # /dev/null unless its last word is `<FILE`.  RIGIDSPEC_SEED is unset for every run, since older
 # trees read it as the default seed of `extremal`.
 # Prints one line per run and exits 1 when any run differs.

@@ -201,25 +201,17 @@ def _g6_parse_n(data: bytes) -> tuple[int, int]:
         raise Graph6Error("empty graph6 string")
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) < 2:
-        raise Graph6Error("truncated length header")
-    if data[1] != 126:
-        if len(data) < 4:
-            raise Graph6Error("truncated length header")
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        if n < 63:
-            raise Graph6Error("non-minimal length header")
-        return n, 4
-    if len(data) < 8:
+    # "~" and 18 bits for n >= 63, or "~~" and 36 bits for n >= 258048
+    first, end, least = ((2, 8, 258048) if data[1:2] == b"~"
+                         else (1, 4, 63))
+    if len(data) < end:
         raise Graph6Error("truncated length header")
     n = 0
-    for b in data[2:8]:
+    for b in data[first:end]:
         n = (n << 6) | (b - 63)
-    if n < 258048:
+    if n < least:
         raise Graph6Error("non-minimal length header")
-    return n, 8
+    return n, end
 
 
 def parse_graph6(line: str) -> Graph:

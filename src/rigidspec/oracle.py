@@ -11,22 +11,10 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from .graphcore import Edge, Graph, _members
+from .graphcore import Graph, _members
 
 # the rigidity matrix is ranked over the integers modulo this prime
 _PRIME = 2**31 - 1
-
-
-def _incremental_edges(g: Graph) -> list[Edge]:
-    """The edges (u, v), u < v: each vertex's first two edges to earlier
-    vertices, which no generic placement makes dependent, then the rest by
-    their larger end."""
-    first, rest = [], []
-    for v, a in enumerate(g.adj):
-        earlier = _members(a & ((1 << v) - 1))
-        first += [(u, v) for u in earlier[:2]]
-        rest += [(u, v) for u in earlier[2:]]
-    return first + rest
 
 
 def exact_rank(g: Graph, seed: int) -> int:
@@ -39,11 +27,11 @@ def exact_rank(g: Graph, seed: int) -> int:
     of a nonzero generic minor of degree at most 2n - 3, which a random
     point is with chance at most (2n - 3) / (2^31 - 1) (Schwartz-Zippel).
 
-    The basis is a fully reduced echelon form: per pivot column, a row
-    scaled to 1 there, stored without that entry, and 0 in the other pivot
-    columns.  Each new row pivots on its largest column, so in the edge
-    order above a later row meets at most four basis rows of a few entries
-    each.  Elimination stops at the largest possible rank, 2n - 3.
+    Rows come in `g.edge_list()` order; a rank does not depend on it.  The
+    basis is a fully reduced echelon form: per pivot column, a row scaled
+    to 1 there, stored without that entry, and 0 in the other pivot
+    columns, so a new row meets at most the four basis rows of its columns.
+    Elimination stops at the largest possible rank, 2n - 3.
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -51,7 +39,7 @@ def exact_rank(g: Graph, seed: int) -> int:
     p = [draw(_PRIME) for _ in range(2 * g.n)]
     top = 2 * g.n - 3
     basis: dict[int, dict[int, int]] = {}
-    for u, v in _incremental_edges(g):
+    for u, v in g.edge_list():
         if len(basis) == top:
             break
         row: dict[int, int] = {}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from functools import cache, lru_cache, partial
 from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -276,10 +277,11 @@ def analyze_lines(
 ) -> Iterator[tuple[Optional[dict], Optional[str]]]:
     """Yield (report, None) or (None, "line N: ...") for each nonblank line
     of a graph6 corpus of raw byte lines, in input order, as soon as that
-    line is done.  The lines are read lazily at any job count; k < jobs
-    graphs start only k workers, and closing the generator stops them."""
+    line is done.  The lines are read lazily at any job count; k graphs
+    start at most min(k, jobs, CPUs) workers, and closing the generator
+    stops them."""
     items = iter_graph6_lines(lines)
-    head = list(islice(items, jobs))
+    head = list(islice(items, min(jobs, os.cpu_count() or 1)))
     analyze = partial(_analyze_line, tol=tol)
     if len(head) <= 1:
         yield from map(analyze, chain(head, items))
@@ -305,15 +307,13 @@ def laman_extremal_report(nmin: int, nmax: int) -> dict:
     rows = []
     ok = True
     for n, level in _minimally_rigid_levels(nmin, nmax):
-        # Perron brackets: the highest first one, at the maximum degree,
-        # converges first; a bracket 2 * REPORT_TOL below a radius holds
-        # neither the maximum nor a radius within REPORT_TOL of it
-        top = max(range(len(level)),
-                  key=lambda i: max(map(int.bit_count, level[i][0])))
+        # Perron brackets, in growth order, which puts the hub-pair graph
+        # first; a bracket 2 * REPORT_TOL below a radius holds neither the
+        # maximum nor a radius within REPORT_TOL of it
         rhos = {}
         floor = -math.inf
-        for i in [top, *range(top), *range(top + 1, len(level))]:
-            for lo, hi in _perron_brackets(level[i][0]):
+        for i, (adj, _) in enumerate(level):
+            for lo, hi in _perron_brackets(adj):
                 if hi < floor:
                     break
             else:
@@ -407,7 +407,7 @@ def family_sweep_report(links: int, amin: int, amax: int, nmax: int) -> dict:
     }
 
 
-def extremal_family_report(delta: int, nmax: int, seed: int = 0) -> dict:
+def extremal_family_report(delta: int, nmax: int, seed: int) -> dict:
     """Structural audit of the two-clique extremal graphs for a minimum
     degree: connectivity, rank (by the pebble game and exactly modulo a
     prime at a seeded integer placement), and the
